@@ -23,6 +23,8 @@ from .modules import (
     Module,
     ModuleError,
     Morphism,
+    _cokernel_with_section,
+    descend_by_section,
     factor_through_mono,
     identity,
     is_epic,
@@ -235,15 +237,6 @@ def chain_identity(x: ChainComplex) -> ChainMap:
 
 def zero_chain_map(src: ChainComplex, dst: ChainComplex) -> ChainMap:
     return chain_map(src, dst, {})
-
-
-def compose_chain(f: ChainMap, g: ChainMap) -> ChainMap:
-    if g.dst != f.src:
-        raise ChainError("chain composition mismatch")
-    degs = set(n for n, _ in f.parts) | set(n for n, _ in g.parts)
-    return chain_map(
-        g.src, f.dst, {n: f.part(n) @ g.part(n) for n in sorted(degs)}
-    )
 
 
 @dataclass(frozen=True)
@@ -565,15 +558,12 @@ def complex_cokernel(f: ChainMap) -> tuple[ChainComplex, ChainMap]:
     lo, hi = y.lo, y.hi
     mods = {}
     projs = {}
+    sects = {}
     for n in range(lo, hi + 1):
-        C, q = cokernel(f.part(n))
-        mods[n] = C
-        projs[n] = q
+        mods[n], projs[n], sects[n] = _cokernel_with_section(f.part(n))
     diffs = []
     for n in range(lo + 1, hi + 1):
-        from .modules import descend_through_epi
-
-        d = descend_through_epi(projs[n], projs[n - 1] @ y.diff(n))
+        d = descend_by_section(projs[n], sects[n], projs[n - 1] @ y.diff(n))
         if d is None:
             raise ChainError("differential does not descend to the cokernel (internal)")
         diffs.append(d)

@@ -5,7 +5,8 @@
 Problem specs are JSON (schema-validated, unknown fields rejected with
 JSON-pointer paths); reports are deterministic given spec + seed, with the
 timing field excluded from the report hash.  Exit codes: 0 all-pass, 1 a
-certified failure, 2 spec or usage error.  ABMC_MAX_DIM caps catalog sizes.
+certified failure, 2 spec or usage error.  ABMC_MAX_DIM caps catalog sizes;
+`ext` degrees must be integers in [1, MAX_EXT_DEGREE] (64).
 """
 
 from __future__ import annotations
@@ -79,6 +80,8 @@ COMMANDS = (
     "monoidal-check",
     "catalog",
 )
+
+MAX_EXT_DEGREE = 64
 
 SPEC_FIELDS = {"format", "command", "preset", "algebra", "arguments", "seed", "bounds"}
 
@@ -184,9 +187,11 @@ def run_command(spec: dict, report: Report):
     seed = report.seed
 
     if cmd == "ext":
+        deg = args.get("degree", 1)
+        if isinstance(deg, bool) or not isinstance(deg, int) or not 1 <= deg <= MAX_EXT_DEGREE:
+            raise SchemaError("/arguments/degree", f"expected an integer in [1, {MAX_EXT_DEGREE}]")
         m = module_from_json(args["m"], "/arguments/m")
         n = module_from_json(args["n"], "/arguments/n")
-        deg = args.get("degree", 1)
         g = ext(m, n, deg)
         report.add(
             f"Ext^{deg}",

@@ -475,20 +475,3 @@ def proj_dim_at_most(m: Module, d: int) -> bool:
     if d < 0:
         raise ModuleError("dimension bound must be >= 0")
     return is_projective(syzygy(m, d))
-
-
-# ---------------------------------------------------------------------------
-# Induced maps on Hom (used by exactness spot checks and stable homs)
-# ---------------------------------------------------------------------------
-
-
-def postcompose_columns(h: Morphism, src: Module) -> list[Morphism]:
-    """Generators of the image of Hom(src, h.src) -> Hom(src, h.dst)."""
-    hs = hom_group(src, h.src)
-    return [h @ g for g in hs.basis]
-
-
-def precompose_columns(h: Morphism, dst: Module) -> list[Morphism]:
-    """Generators of the image of Hom(h.dst, dst) -> Hom(h.src, dst)."""
-    hs = hom_group(h.dst, dst)
-    return [g @ h for g in hs.basis]

@@ -14,7 +14,7 @@ All functions are pure; `Mat` is immutable.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -220,10 +220,6 @@ class Mat:
         if self.rows == 0 or self.cols == 0:
             return f"Mat({self.rows}x{self.cols})"
         return "Mat[" + "; ".join(" ".join(str(x) for x in self.row(i)) for i in range(self.rows)) + "]"
-
-
-def mat_columns(m: Mat) -> list[list[int]]:
-    return [list(m.col(j)) for j in range(m.cols)]
 
 
 # ---------------------------------------------------------------------------
@@ -570,12 +566,6 @@ def congruence_kernel(C: Mat, moduli: Sequence[int], ring: BaseRing) -> Mat:
 # ---------------------------------------------------------------------------
 # Lattice quotients: span(gens) / span(sub)
 # ---------------------------------------------------------------------------
-
-
-def canonical_invariants(diag: Iterable[int], free: int) -> tuple[int, ...]:
-    torsion = [d for d in diag if d not in (0, 1)]
-    zeros = [0] * (free + sum(1 for d in diag if d == 0))
-    return tuple(torsion + zeros)
 
 
 @dataclass(frozen=True)

@@ -584,7 +584,7 @@ def _preimage_lattice(f: Morphism) -> Mat:
 def kernel(f: Morphism) -> tuple[Module, Morphism]:
     """Kernel with its monic structural arrow into the source.
 
-    Universality is available через factor_through_mono, computed on demand.
+    Universality is available via factor_through_mono, computed on demand.
     """
     ring = f.ring
     L = _preimage_lattice(f)
@@ -605,12 +605,18 @@ def kernel(f: Morphism) -> tuple[Module, Morphism]:
     return K, incl
 
 
-def cokernel(f: Morphism) -> tuple[Module, Morphism]:
-    """Cokernel with its epic structural arrow out of the target."""
+def _cokernel_with_section(f: Morphism) -> tuple[Module, Morphism, Mat]:
+    """Cokernel, its projection q and a base-level section: q.matrix @ sect is
+    the identity modulo the orders of the cokernel."""
     dst = f.dst
     rel_rows = dst.relation_rows().vstack(f.matrix.transpose())
-    C, proj, _ = module_from_presentation(dst.algebra, rel_rows, dst.actions)
-    q = Morphism(dst, C, proj)
+    C, proj, sect = module_from_presentation(dst.algebra, rel_rows, dst.actions)
+    return C, Morphism(dst, C, proj), sect
+
+
+def cokernel(f: Morphism) -> tuple[Module, Morphism]:
+    """Cokernel with its epic structural arrow out of the target."""
+    C, q, _ = _cokernel_with_section(f)
     return C, q
 
 
@@ -628,10 +634,6 @@ def is_monic(f: Morphism) -> bool:
 def is_epic(f: Morphism) -> bool:
     C, _ = cokernel(f)
     return C.is_zero
-
-
-def is_isomorphism(f: Morphism) -> bool:
-    return is_monic(f) and is_epic(f)
 
 
 def factor_through_mono(k: Morphism, h: Morphism) -> Optional[Morphism]:
@@ -674,41 +676,19 @@ def factor_through_mono(k: Morphism, h: Morphism) -> Optional[Morphism]:
     return Morphism(T, K, X)
 
 
-def descend_through_epi(q: Morphism, h: Morphism) -> Optional[Morphism]:
-    """y with y @ q = h, when it exists (h must kill ker q)."""
+def descend_by_section(q: Morphism, sect: Mat, h: Morphism) -> Optional[Morphism]:
+    """y with y @ q = h, when it exists, for an epi q with a base-level section.
+
+    Any such y is h @ sect: q @ sect is the identity modulo the orders of
+    q.dst, so y = y @ q @ sect = h @ sect modulo the orders of h.dst.
+    """
     if q.src != h.src:
         raise ModuleError("sources must agree")
-    ring = q.ring
-    C, T = q.dst, h.dst
-    nc, nt = C.gens, T.gens
-    rows = []
-    moduli = []
-    rhs = []
-    # validity of Y columns: d_j^C * Y[i, j] = 0 mod d_i^T
-    for j, dj in enumerate(C.orders):
-        if not dj:
-            continue
-        for i, di in enumerate(T.orders):
-            row = [0] * (nt * nc)
-            row[i * nc + j] = dj
-            rows.append(row)
-            moduli.append(di)
-            rhs.append(0)
-    # Y q = h mod T orders
-    for i in range(nt):
-        for j in range(q.src.gens):
-            row = [0] * (nt * nc)
-            for t in range(nc):
-                row[i * nc + t] = q.matrix[t, j]
-            rows.append(row)
-            moduli.append(T.orders[i])
-            rhs.append(h.matrix[i, j])
-    Cmat = Mat.from_rows(rows, cols=nt * nc)
-    sol = solve_congruence(Cmat, moduli, Mat.column(rhs), ring)
-    if sol is None:
+    try:
+        y = Morphism(q.dst, h.dst, h.matrix @ sect)
+    except ModuleError:
         return None
-    Y = Mat(nt, nc, sol.entries)
-    return Morphism(C, T, Y)
+    return y if (y @ q).matrix == h.matrix else None
 
 
 # ---------------------------------------------------------------------------
@@ -871,6 +851,7 @@ class Pushout:
     from_y: Morphism
     _sum: Biproduct
     _quot: Morphism  # from X + Y
+    _sect: Mat  # base-level section: _quot.matrix @ _sect is the identity on Q
 
 
 def pushout(f: Morphism, g: Morphism) -> Pushout:
@@ -881,14 +862,17 @@ def pushout(f: Morphism, g: Morphism) -> Pushout:
     diff = Morphism(
         f.src, b.module, b.i1.matrix @ f.matrix - b.i2.matrix @ g.matrix
     )
-    Q, quot = cokernel(diff)
-    return Pushout(Q, quot @ b.i1, quot @ b.i2, b, quot)
+    Q, quot, sect = _cokernel_with_section(diff)
+    return Pushout(Q, quot @ b.i1, quot @ b.i2, b, quot, sect)
 
 
 def from_pushout(po: Pushout, u: Morphism, v: Morphism) -> Morphism:
-    """Universal arrow Q -> T for u: X -> T, v: Y -> T with u f = v g."""
+    """Universal arrow Q -> T for u: X -> T, v: Y -> T with u f = v g.
+
+    Descends (u, v): X + Y -> T through the quotient by its section.
+    """
     h = pair_from_sum(po._sum, u, v)
-    w = descend_through_epi(po._quot, h)
+    w = descend_by_section(po._quot, po._sect, h)
     if w is None:
         raise ModuleError("square does not commute: no arrow from the pushout")
     return w

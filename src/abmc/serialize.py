@@ -1,4 +1,4 @@
-"""Versioned JSON schemas for algebras, modules, morphisms, and complexes.
+"""Versioned JSON schemas for algebras, modules and morphisms.
 
 Format version 1.  All matrices are row-major integer arrays; prime-field
 entries are integers in [0, p).  Validation errors carry a JSON-pointer-style
@@ -11,7 +11,6 @@ from typing import Any
 
 from .linalg import BaseRing, Mat, ZZ
 from .modules import Algebra, Module, Morphism, make_algebra
-from .chains import ChainComplex, complex_from_entries
 
 FORMAT = 1
 
@@ -138,16 +137,6 @@ def module_from_json(obj: Any, ptr: str = "", algebra: Algebra | None = None) ->
 # -- morphism --------------------------------------------------------------------
 
 
-def morphism_to_json(f: Morphism) -> dict:
-    return {
-        "format": FORMAT,
-        "kind": "morphism",
-        "src": module_to_json(f.src),
-        "dst": module_to_json(f.dst),
-        "matrix": list(f.matrix.entries),
-    }
-
-
 def morphism_from_json(obj: Any, ptr: str = "", algebra: Algebra | None = None) -> Morphism:
     _expect_keys(obj, {"format", "kind", "src", "dst", "matrix"}, set(), ptr or "/")
     _check_format(obj, ptr)
@@ -159,51 +148,3 @@ def morphism_from_json(obj: Any, ptr: str = "", algebra: Algebra | None = None) 
     if len(ent) != dst.gens * src.gens:
         raise SchemaError(f"{ptr}/matrix", f"expected {dst.gens * src.gens} entries")
     return Morphism(src, dst, Mat(dst.gens, src.gens, tuple(ent)))
-
-
-# -- chain complex -----------------------------------------------------------------
-
-
-def complex_to_json(x: ChainComplex) -> dict:
-    return {
-        "format": FORMAT,
-        "kind": "complex",
-        "algebra": algebra_to_json(x.algebra),
-        "window": [x.lo, x.hi],
-        "entries": {str(n): module_to_json(x.entry(n)) for n in x.degrees()},
-        "differentials": {
-            str(n): list(x.diff(n).matrix.entries) for n in range(x.lo + 1, x.hi + 1)
-        },
-    }
-
-
-def complex_from_json(obj: Any, ptr: str = "") -> ChainComplex:
-    _expect_keys(
-        obj, {"format", "kind", "algebra", "window", "entries", "differentials"}, set(), ptr or "/"
-    )
-    _check_format(obj, ptr)
-    if obj["kind"] != "complex":
-        raise SchemaError(f"{ptr}/kind", "expected 'complex'")
-    algebra = algebra_from_json(obj["algebra"], f"{ptr}/algebra")
-    window = obj["window"]
-    if not (isinstance(window, list) and len(window) == 2):
-        raise SchemaError(f"{ptr}/window", "expected [lo, hi]")
-    lo, hi = window
-    entries = []
-    for n in range(lo, hi + 1):
-        key = str(n)
-        if key not in obj["entries"]:
-            raise SchemaError(f"{ptr}/entries/{key}", "missing degree")
-        entries.append(module_from_json(obj["entries"][key], f"{ptr}/entries/{key}", algebra))
-    diffs = []
-    for n in range(lo + 1, hi + 1):
-        key = str(n)
-        if key not in obj["differentials"]:
-            raise SchemaError(f"{ptr}/differentials/{key}", "missing degree")
-        ent = _int_list(obj["differentials"][key], f"{ptr}/differentials/{key}")
-        src = entries[n - lo]
-        dst = entries[n - lo - 1]
-        if len(ent) != dst.gens * src.gens:
-            raise SchemaError(f"{ptr}/differentials/{key}", "entry count mismatch")
-        diffs.append(Morphism(src, dst, Mat(dst.gens, src.gens, tuple(ent))))
-    return complex_from_entries(algebra, lo, entries, diffs)

@@ -24,6 +24,7 @@ from abmc.chains import (
     chain_map,
     chain_maps_basis,
     complex_catalog,
+    complex_cokernel,
     complex_direct_sum,
     complex_from_entries,
     cycles,
@@ -116,6 +117,37 @@ def test_exactness_socle_complex(f2c2):
     c = complex_from_entries(f2c2, 0, [r, r], [mult])
     assert not is_exact(c)
     assert homology_at(c, 0).gens == 1
+
+
+def _assert_cokernel_projection_is_chain_map(f):
+    quot, q = complex_cokernel(f)
+    y = f.dst
+    for n in range(y.lo, y.hi + 2):
+        assert (quot.diff(n) @ q.part(n)).matrix == (q.part(n - 1) @ y.diff(n)).matrix
+    for n in y.degrees():
+        assert (q.part(n) @ f.part(n)).is_zero
+    return quot
+
+
+def test_complex_cokernel_projection_is_chain_map(suite):
+    rng = random.Random(5)
+    mods = [m for m in suite.module_catalog if not m.is_zero]
+    nonzero_d = 0
+    for _ in range(6):
+        x, y = random_complex(mods, rng, 3), random_complex(mods, rng, 3)
+        for f in chain_maps_basis(x, y)[:4]:
+            quot = _assert_cokernel_projection_is_chain_map(f)
+            nonzero_d += any(not quot.diff(n).is_zero for n in range(quot.lo + 1, quot.hi + 1))
+    assert nonzero_d
+
+
+def test_complex_cokernel_projection_is_chain_map_z():
+    alg = algebra_z()
+    for m in (free_module(alg, 1), cyclic_z_module(alg, 8)):
+        d = disk(1, m)
+        twice = chain_map(d, d, {n: Morphism(m, m, Mat.from_rows([[2]])) for n in d.degrees()})
+        quot = _assert_cokernel_projection_is_chain_map(twice)
+        assert quot.entry(0).orders == (2,) and not quot.diff(1).is_zero
 
 
 # -- null homotopies -------------------------------------------------------------

@@ -1,5 +1,6 @@
 import pytest
 
+from abmc.homology import hom_group
 from abmc.linalg import BaseRing, Mat, ZZ
 from abmc.modules import (
     AlgebraError,
@@ -335,6 +336,69 @@ def test_pushout_universal(zz_alg):
     v = zero_morphism(zero_module(zz_alg), m)
     w = from_pushout(po, u, v)
     assert morphism_equal(w @ po.from_x, u)
+
+
+def _pushout_cases():
+    """(f, g, targets): F2[C2] with socle legs, Z and Z[C2] with torsion targets."""
+    f2c2 = cyclic_group_algebra(F2, 2)
+    k, r = trivial_module(f2c2), free_module(f2c2, 1)
+    socle = Morphism(k, r, Mat.from_columns([[1, 1]]))
+    yield socle, socle, [k, r, direct_sum(k, r).module]
+    zz = base_algebra(ZZ)
+    z = z_free(zz)
+    twice = Morphism(z, z, Mat.from_rows([[2]]))
+    to_z4 = Morphism(z, z_cyclic(zz, 4), Mat.from_rows([[1]]))
+    yield twice, to_z4, [z_cyclic(zz, 2), z_cyclic(zz, 4), z_cyclic(zz, 8)]
+    zc2 = cyclic_group_algebra(ZZ, 2)
+    z_triv, reg = trivial_module(zc2), free_module(zc2, 1)
+    norm = Morphism(z_triv, reg, Mat.from_columns([[1, 1]]))
+    to_z4 = Morphism(z_triv, z_cyclic(zc2, 4), Mat.from_rows([[1]]))
+    yield norm, to_z4, [z_cyclic(zc2, 2), z_cyclic(zc2, 4), direct_sum(reg, z_cyclic(zc2, 2)).module]
+
+
+@pytest.mark.parametrize("case", range(3))
+def test_from_pushout_triangles(case):
+    f, g, targets = list(_pushout_cases())[case]
+    po = pushout(f, g)
+    checked = 0
+    for t in targets:
+        for s in hom_group(po.module, t).basis:
+            u, v = s @ po.from_x, s @ po.from_y
+            w = from_pushout(po, u, v)
+            assert morphism_equal(w @ po.from_x, u)
+            assert morphism_equal(w @ po.from_y, v)
+            assert morphism_equal(w, s)  # the arrow out of a pushout is unique
+            checked += 1
+    assert checked
+
+
+@pytest.mark.parametrize("case", range(3))
+def test_from_pushout_rejects_non_commuting_square(case):
+    f, g, targets = list(_pushout_cases())[case]
+    po = pushout(f, g)
+    rejected = 0
+    for t in targets:
+        s = zero_morphism(po.module, t)
+        for e in hom_group(g.dst, t).basis:
+            u, v = s @ po.from_x, s @ po.from_y + e
+            if (e @ g).is_zero:  # u f = v g still holds
+                assert morphism_equal(from_pushout(po, u, v) @ po.from_y, v)
+                continue
+            with pytest.raises(ModuleError):
+                from_pushout(po, u, v)
+            rejected += 1
+    assert rejected
+
+
+def test_from_pushout_raises_on_broken_square(zz_alg):
+    z = z_free(zz_alg)
+    po = pushout(Morphism(z, z, Mat.from_rows([[2]])), zero_morphism(z, zero_module(zz_alg)))
+    with pytest.raises(ModuleError):
+        from_pushout(po, identity(z), zero_morphism(zero_module(zz_alg), z))
+    m = z_cyclic(zz_alg, 4)
+    with pytest.raises(ModuleError):
+        # u f = 2 != 0 = v g in Z/4, though Z/2 -> Z/4 (1 |-> 2) is a morphism
+        from_pushout(po, Morphism(z, m, Mat.from_rows([[1]])), zero_morphism(zero_module(zz_alg), m))
 
 
 # -- tensor ------------------------------------------------------------------
