@@ -6,7 +6,8 @@ Problem specs are JSON (schema-validated, unknown fields rejected with
 JSON-pointer paths); reports are deterministic given spec + seed, with the
 timing field excluded from the report hash.  Exit codes: 0 all-pass, 1 a
 certified failure, 2 spec or usage error.  ABMC_MAX_DIM caps catalog sizes;
-`ext` degrees must be integers in [1, MAX_EXT_DEGREE] (64).
+`ext` degrees must be integers in [1, MAX_EXT_DEGREE] (64), the seed an
+integer >= 0 and the bounds an integer >= 1.
 """
 
 from __future__ import annotations
@@ -95,6 +96,14 @@ def max_dim_cap() -> int:
         return int(os.environ.get("ABMC_MAX_DIM", "8"))
     except ValueError:
         return 8
+
+
+def _int_in(value, pointer: str, lo: int, hi: Optional[int] = None) -> int:
+    """`value` if it is an int (not a bool) in [lo, hi]; else SchemaError at `pointer`."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < lo or (hi is not None and value > hi):
+        wanted = f"in [{lo}, {hi}]" if hi is not None else f">= {lo}"
+        raise SchemaError(pointer, f"expected an integer {wanted}")
+    return value
 
 
 def load_spec(path: Optional[str]) -> dict:
@@ -187,9 +196,7 @@ def run_command(spec: dict, report: Report):
     seed = report.seed
 
     if cmd == "ext":
-        deg = args.get("degree", 1)
-        if isinstance(deg, bool) or not isinstance(deg, int) or not 1 <= deg <= MAX_EXT_DEGREE:
-            raise SchemaError("/arguments/degree", f"expected an integer in [1, {MAX_EXT_DEGREE}]")
+        deg = _int_in(args.get("degree", 1), "/arguments/degree", 1, MAX_EXT_DEGREE)
         m = module_from_json(args["m"], "/arguments/m")
         n = module_from_json(args["n"], "/arguments/n")
         g = ext(m, n, deg)
@@ -440,10 +447,11 @@ def main(argv: Optional[list[str]] = None) -> int:
         if ns.bounds is not None:
             spec["bounds"] = ns.bounds
         spec.setdefault("seed", 0)
+        bounds = spec.get("bounds")
         report = Report(
             command=spec["command"],
-            seed=int(spec["seed"]),
-            bounds=spec.get("bounds"),
+            seed=_int_in(spec["seed"], "/seed", 0),
+            bounds=None if bounds is None else _int_in(bounds, "/bounds", 1),
             preset=spec.get("preset"),
         )
         run_command(spec, report)

@@ -14,6 +14,7 @@ All functions are pure; `Mat` is immutable.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Optional, Sequence
 
 import numpy as np
@@ -93,7 +94,7 @@ class Mat:
         for r in rows:
             if len(r) != n:
                 raise LinalgError("ragged rows")
-        return Mat(len(rows), n, tuple(x for r in rows for x in r))
+        return Mat(len(rows), n, tuple(chain.from_iterable(rows)))
 
     @staticmethod
     def zeros(rows: int, cols: int) -> "Mat":
@@ -120,7 +121,7 @@ class Mat:
         for c in cols:
             if len(c) != m:
                 raise LinalgError("ragged columns")
-        return Mat(m, len(cols), tuple(cols[j][i] for i in range(m) for j in range(len(cols))))
+        return Mat(m, len(cols), tuple(chain.from_iterable(zip(*cols))))
 
     def __getitem__(self, ij: tuple[int, int]) -> int:
         i, j = ij
@@ -227,122 +228,142 @@ class Mat:
 # ---------------------------------------------------------------------------
 
 
-def _pivot_choice(a: list[list[int]], t: int, rows: int, cols: int) -> Optional[tuple[int, int]]:
-    # Smallest nonzero absolute value; ties broken by lowest (row, col).
-    # Row-major scanning means the first unit found already wins outright.
-    best_abs = None
-    best_i = best_j = 0
-    for i in range(t, rows):
-        ai = a[i]
-        for j in range(t, cols):
-            v = ai[j]
-            if v:
-                av = -v if v < 0 else v
-                if av == 1:
-                    return i, j
-                if best_abs is None or av < best_abs:
-                    best_abs = av
-                    best_i, best_j = i, j
-    if best_abs is None:
+def _least(r: list[int]) -> int:
+    """Smallest nonzero absolute value in r; 0 for a zero row."""
+    return min(map(abs, filter(None, r)), default=0)
+
+
+def _pivot_choice(a: list[list[int]], live: list[int], least: list[int]) -> Optional[tuple[int, int]]:
+    """Pivot of the trailing block whose nonzero rows are `live`, in order.
+
+    The first +-1 in row-major order wins outright; otherwise the smallest
+    nonzero absolute value, ties broken by lowest (row, col).  Both come down
+    to the first live row of least `_least`, cached per row in `least`, and
+    its first entry of that size.  Rows of the trailing block are zero left of
+    it, so whole rows are scanned."""
+    if not live:
         return None
-    return best_i, best_j
+    i = min(live, key=least.__getitem__)
+    m, r = least[i], a[i]
+    return i, min(r.index(x) for x in (m, -m) if x in r)
 
 
-def _snf_full(A: Mat, track_u: bool = True, track_v: bool = True):
-    """Return (U, Uinv, D, V, Vinv) with U*A*V = D in Smith normal form.
+def _axpy(x: list[int], c: int, y: list[int]) -> list[int]:
+    return [p + c * q for p, q in zip(x, y)]
 
-    Untracked transforms come back as None (skipping their bookkeeping is a
-    large constant-factor win in kernel-only computations)."""
+
+def _swap(m: Optional[list], i: int, j: int) -> None:
+    if m is not None:
+        m[i], m[j] = m[j], m[i]
+
+
+def _identity_rows(k: int) -> list[list[int]]:
+    return [[1 if i == j else 0 for j in range(k)] for i in range(k)]
+
+
+def _square(m: list[list[int]], by_columns: bool) -> Mat:
+    k = len(m)
+    return Mat(k, k, tuple(chain.from_iterable(zip(*m) if by_columns else m)))
+
+
+def _snf_full(A: Mat, *want: str):
+    """Smith normal form D = U*A*V, returned as (D, *requested transforms).
+
+    `want` names the transforms to return, in the order wanted, out of "U",
+    "Uinv", "V" and "Vinv" (U, V unimodular).  Only those are maintained:
+    each costs a row operation per elimination step, so a kernel-only or
+    invariants-only caller pays for none of them.  The elimination, and so D
+    and every transform, does not depend on which are requested."""
     rows, cols = A.rows, A.cols
     a = A.to_lists()
-    ident = lambda n: [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    u = ident(rows) if track_u else None
-    uinv = ident(rows) if track_u else None
-    v = ident(cols) if track_v else None
-    vinv = ident(cols) if track_v else None
-
-    def swap_rows(i1, i2):
-        if i1 == i2:
-            return
-        a[i1], a[i2] = a[i2], a[i1]
-        if track_u:
-            u[i1], u[i2] = u[i2], u[i1]
-            for r in uinv:
-                r[i1], r[i2] = r[i2], r[i1]
-
-    def swap_cols(j1, j2):
-        if j1 == j2:
-            return
-        for r in a:
-            r[j1], r[j2] = r[j2], r[j1]
-        if track_v:
-            for r in v:
-                r[j1], r[j2] = r[j2], r[j1]
-            vinv[j1], vinv[j2] = vinv[j2], vinv[j1]
-
-    def add_row(src, dst, c):
-        # row_dst += c * row_src; inverse op on uinv columns.
-        if c == 0:
-            return
-        ad, asrc = a[dst], a[src]
-        for j in range(cols):
-            ad[j] += c * asrc[j]
-        if track_u:
-            ud, usrc = u[dst], u[src]
-            for j in range(rows):
-                ud[j] += c * usrc[j]
-            for r in uinv:
-                r[src] -= c * r[dst]
-
-    def add_col(src, dst, c):
-        if c == 0:
-            return
-        for r in a:
-            r[dst] += c * r[src]
-        if track_v:
-            for r in v:
-                r[dst] += c * r[src]
-            vd = vinv[dst]
-            vsrc = vinv[src]
-            for j in range(cols):
-                vsrc[j] -= c * vd[j]
-
-    def negate_row(i):
-        a[i] = [-x for x in a[i]]
-        if track_u:
-            u[i] = [-x for x in u[i]]
-            for r in uinv:
-                r[i] = -r[i]
-
+    least = list(map(_least, a))
+    # U and Vinv are kept by rows, Uinv and V by columns (transposed), so that
+    # every update of every transform is a row update.
+    u = _identity_rows(rows) if "U" in want else None
+    uinv_t = _identity_rows(rows) if "Uinv" in want else None
+    v_t = _identity_rows(cols) if "V" in want else None
+    vinv = _identity_rows(cols) if "Vinv" in want else None
     n = min(rows, cols)
 
+    def eliminate(t, live):
+        # Clear column t below and row t right of the pivot a[t][t] by
+        # floor-quotient row and column operations; True when both are clear.
+        # Rows that become zero leave `live`.
+        rt = a[t]
+        p = rt[t]
+        row_qs = []
+        rest = []  # rows keeping a nonzero remainder in column t
+        for i in [i for i in live if a[i][t]][1:]:
+            q, rem = divmod(a[i][t], p)
+            if q:
+                a[i] = _axpy(a[i], -q, rt)
+                least[i] = _least(a[i])
+                row_qs.append((q, i))
+            if rem:
+                rest.append(i)
+        if row_qs:
+            if not all(least[i] for _, i in row_qs):
+                live[:] = [i for i in live if least[i]]
+            if u is not None:
+                ut = u[t]
+                for q, i in row_qs:
+                    u[i] = _axpy(u[i], -q, ut)
+            if uinv_t is not None:
+                w = uinv_t[t]
+                for q, i in row_qs:
+                    w = _axpy(w, q, uinv_t[i])
+                uinv_t[t] = w
+        col_qs = [(x // p, j) for j, x in enumerate(rt[t + 1 :], t + 1) if x]
+        col_qs = [(q, j) for q, j in col_qs if q]
+        if col_qs:
+            for i in [t, *rest]:
+                r = a[i]
+                x = r[t]
+                for q, j in col_qs:
+                    r[j] -= q * x
+                least[i] = _least(r)
+            if v_t is not None:
+                vt = v_t[t]
+                for q, j in col_qs:
+                    v_t[j] = _axpy(v_t[j], -q, vt)
+            if vinv is not None:
+                w = vinv[t]
+                for q, j in col_qs:
+                    w = _axpy(w, q, vinv[j])
+                vinv[t] = w
+        return not rest and not any(rt[t + 1 :])
+
     def diagonalize_from(t0: int):
+        # Invariant: rows t.. are zero left of column t, and `live` holds the
+        # nonzero ones in order.
+        live = [i for i in range(t0, rows) if least[i]]
         for t in range(t0, n):
             while True:
-                piv = _pivot_choice(a, t, rows, cols)
+                piv = _pivot_choice(a, live, least)
                 if piv is None:
-                    break
-                swap_rows(t, piv[0])
-                swap_cols(t, piv[1])
-                done = True
-                for i in range(t + 1, rows):
-                    if a[i][t]:
-                        q = a[i][t] // a[t][t]
-                        add_row(t, i, -q)
-                        if a[i][t]:
-                            done = False
-                for j in range(t + 1, cols):
-                    if a[t][j]:
-                        q = a[t][j] // a[t][t]
-                        add_col(t, j, -q)
-                        if a[t][j]:
-                            done = False
-                if done and all(a[i][t] == 0 for i in range(t + 1, rows)) and all(
-                    a[t][j] == 0 for j in range(t + 1, cols)
-                ):
+                    return
+                i, j = piv
+                if i != t:
+                    for m in (a, least, u, uinv_t):
+                        _swap(m, t, i)
+                    if live[0] != t:
+                        live.remove(i)
+                        live.insert(0, t)
+                if j != t:
+                    for r in live:
+                        ar = a[r]
+                        ar[t], ar[j] = ar[j], ar[t]
+                    _swap(v_t, t, j)
+                    _swap(vinv, t, j)
+                if eliminate(t, live):
                     break
             if a[t][t] < 0:
-                negate_row(t)
+                a[t] = [-x for x in a[t]]
+                if u is not None:
+                    u[t] = [-x for x in u[t]]
+                if uinv_t is not None:
+                    uinv_t[t] = [-x for x in uinv_t[t]]
+            del live[0]
 
     diagonalize_from(0)
 
@@ -354,21 +375,23 @@ def _snf_full(A: Mat, track_u: bool = True, track_v: bool = True):
         for t in range(n - 1):
             dt, dn = a[t][t], a[t + 1][t + 1]
             if dn and (dt == 0 or dn % dt):
-                add_col(t + 1, t, 1)
+                # column t += column t+1 (D is diagonal here)
+                a[t + 1][t] += dn
+                least[t + 1] = _least(a[t + 1])
+                if v_t is not None:
+                    v_t[t] = _axpy(v_t[t], 1, v_t[t + 1])
+                if vinv is not None:
+                    vinv[t + 1] = _axpy(vinv[t + 1], -1, vinv[t])
                 diagonalize_from(t)
                 changed = True
 
-    U = Mat.from_rows(u) if track_u else None
-    Uinv = Mat.from_rows(uinv) if track_u else None
-    V = Mat.from_rows(v, cols=cols) if track_v else None
-    Vinv = Mat.from_rows(vinv, cols=cols) if track_v else None
-    D = Mat.from_rows(a, cols=cols)
-    return U, Uinv, D, V, Vinv
+    kept = {"U": (u, False), "Uinv": (uinv_t, True), "V": (v_t, True), "Vinv": (vinv, False)}
+    return (Mat(rows, cols, tuple(chain.from_iterable(a))), *(_square(*kept[w]) for w in want))
 
 
 def smith_normal_form(A: Mat) -> tuple[Mat, Mat, Mat]:
     """U, D, V with U*A*V = D diagonal, d1 | d2 | ..., di >= 0, U, V unimodular."""
-    U, _, D, V, _ = _snf_full(A)
+    D, U, V = _snf_full(A, "U", "V")
     return U, D, V
 
 
@@ -446,7 +469,7 @@ class ZSolver:
 
     def __init__(self, A: Mat):
         self.A = A
-        self.U, self.Uinv, self.D, self.V, self.Vinv = _snf_full(A)
+        self.D, self.U, self.V = _snf_full(A, "U", "V")
         self.diag = snf_diagonal(self.D)
 
     def solve(self, b: Mat) -> Optional[Mat]:
@@ -481,7 +504,7 @@ def kernel_columns(A: Mat, ring: BaseRing) -> Mat:
     """Columns generate all solutions of A x = 0 (a saturated lattice over Z)."""
     if ring.is_field:
         return _field_kernel(A, ring.p)
-    _, _, D, V, _ = _snf_full(A, track_u=False)
+    D, V = _snf_full(A, "V")
     diag = snf_diagonal(D)
     cols = []
     for j in range(A.cols):
@@ -499,7 +522,7 @@ def lattice_basis(gens: Mat, ring: BaseRing) -> Mat:
         r, pivots = _np_rref(gens.to_numpy().T % ring.p, ring.p)
         basis = Mat.from_numpy(r[: len(pivots)].T % ring.p)
         return basis
-    _, Uinv, D, _, _ = _snf_full(gens, track_v=False)
+    D, Uinv = _snf_full(gens, "Uinv")
     diag = snf_diagonal(D)
     cols = []
     for i, d in enumerate(diag):
@@ -652,7 +675,7 @@ def quotient_group(gens: Mat, sub: Mat, ring: BaseRing) -> QuotientGroup:
             raise LinalgError("sub does not lie inside span(gens)")
     else:
         c = Mat.zeros(basis.cols, 0)
-    _, Uinv, D, _, _ = _snf_full(c, track_v=False)
+    D, Uinv = _snf_full(c, "Uinv")
     diag = snf_diagonal(D)
     adapted = basis @ Uinv
     kept_cols = []

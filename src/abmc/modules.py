@@ -464,7 +464,7 @@ def module_from_presentation(
         orders = (0,) * len(kept)
     else:
         rel_cols = relation_rows.transpose()
-        U, Uinv, D, _, _ = _snf_full(rel_cols)
+        D, U, Uinv = _snf_full(rel_cols, "U", "Uinv")
         diag = snf_diagonal(D)
         kept = []
         orders_list = []

@@ -56,6 +56,55 @@ def test_ext_degree_subprocess_has_no_traceback(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+def _write_spec(tmp_path, spec):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    return str(path)
+
+
+def _bad_seed_argv(tmp_path, seed):
+    return ["stable-hom", _write_spec(tmp_path, {"seed": seed}), "--preset", "qf-f2c2", "--json"]
+
+
+def _bad_bounds_argv(tmp_path, bounds):
+    spec = {"command": "catalog", "algebra": algebra_to_json(algebra_zc2()), "bounds": bounds}
+    return ["catalog", _write_spec(tmp_path, spec), "--json"]
+
+
+BAD_TOP_LEVEL = (
+    [(_bad_seed_argv, "/seed", v) for v in ("x", True, -1, 1.5)]
+    + [(_bad_bounds_argv, "/bounds", v) for v in ("x", True, 0, 2.0)]
+)
+
+
+@pytest.mark.parametrize("argv,pointer,value", BAD_TOP_LEVEL)
+def test_seed_and_bounds_rejected(tmp_path, capsys, argv, pointer, value):
+    code = cli.main(argv(tmp_path, value))
+    err = capsys.readouterr().err
+    assert code == 2
+    assert pointer in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv,pointer", [(_bad_seed_argv, "/seed"), (_bad_bounds_argv, "/bounds")])
+def test_seed_and_bounds_subprocess_have_no_traceback(tmp_path, argv, pointer):
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run(
+        [sys.executable, "-m", "abmc.cli", *argv(tmp_path, "x")],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 2
+    assert pointer in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_catalog_bounds_accepted(tmp_path, capsys):
+    spec = {"command": "catalog", "algebra": algebra_to_json(algebra_zc2()), "bounds": 1}
+    code = cli.main(["catalog", _write_spec(tmp_path, spec), "--json"])
+    assert code == 0
+    assert json.loads(capsys.readouterr().out)["bounds"] == 1
+
+
 PRESET_HASHES = {
     ("check-pair", "qf-f2c2"): "a8e2561d2f8af0abc49179eaae49974dc33f4c50c8c93072a35cfb71b5a7701e",
     ("check-pair", "purity-z"): "4da7be8f6465c87d155da002c9585fc4f7f7fa26c6cc1f810cce76e1a6b76976",

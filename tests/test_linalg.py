@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -8,6 +9,9 @@ from abmc.linalg import (
     LinalgError,
     Mat,
     ZZ,
+    _least,
+    _pivot_choice,
+    _snf_full,
     congruence_kernel,
     kernel_columns,
     lattice_basis,
@@ -240,3 +244,75 @@ def test_lattice_basis_prunes():
     b = lattice_basis(gens, ZZ)
     assert b.cols == 1
     assert abs(b[0, 0]) == 2
+
+
+@st.composite
+def small_int_matrices(draw, min_dim=0):
+    """Up to 9 x 9, entries in [-6, 6], some rows and columns forced to zero."""
+    rows = draw(st.integers(min_dim, 9))
+    cols = draw(st.integers(min_dim, 9))
+    ent = draw(st.lists(st.lists(st.integers(-6, 6), min_size=cols, max_size=cols),
+                        min_size=rows, max_size=rows))
+    zero_rows = draw(st.sets(st.integers(0, 8), max_size=2))
+    zero_cols = draw(st.sets(st.integers(0, 8), max_size=2))
+    return Mat.from_rows(
+        [[0 if i in zero_rows or j in zero_cols else x for j, x in enumerate(r)]
+         for i, r in enumerate(ent)],
+        cols=cols,
+    )
+
+
+TRANSFORMS = ("U", "Uinv", "V", "Vinv")
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_int_matrices())
+def test_snf_requested_transforms_match_full_call(A):
+    D, U, Uinv, V, Vinv = _snf_full(A, *TRANSFORMS)
+    full = dict(zip(TRANSFORMS, (U, Uinv, V, Vinv)))
+    assert (U @ A) @ V == D
+    assert U @ Uinv == Mat.identity(A.rows)
+    assert V @ Vinv == Mat.identity(A.cols)
+    for k in range(len(TRANSFORMS) + 1):
+        for want in itertools.permutations(TRANSFORMS, k):
+            got = _snf_full(A, *want)
+            assert len(got) == 1 + len(want)
+            assert got[0] == D
+            for name, m in zip(want, got[1:]):
+                assert m == full[name], name
+
+
+def pivot_reference(a, t):
+    # Plain scan of the trailing block a[t:][t:]: the first +-1 in row-major
+    # order, else the smallest nonzero |entry|, ties to the lowest (row, col).
+    best = None
+    for i in range(t, len(a)):
+        for j in range(t, len(a[i])):
+            v = abs(a[i][j])
+            if v == 1:
+                return i, j
+            if v and (best is None or v < best[0]):
+                best = (v, i, j)
+    return None if best is None else best[1:]
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_int_matrices(), st.integers(0, 9), st.sampled_from([1, 2]))
+def test_pivot_choice_matches_reference_scan(A, t, scale):
+    # Rows of the trailing block are zero left of it, as during elimination;
+    # scale 2 leaves no unit to find.
+    a = [[0 if i >= t > j else scale * x for j, x in enumerate(r)] for i, r in enumerate(A.to_lists())]
+    least = [_least(r) for r in a]
+    live = [i for i in range(t, len(a)) if least[i]]
+    assert _pivot_choice(a, live, least) == pivot_reference(a, t)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_int_matrices(min_dim=1))
+def test_snf_diagonal_matches_sympy(A):
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import smith_normal_form as sympy_snf
+
+    S = sympy_snf(sympy.Matrix(A.to_lists()), domain=sympy.ZZ)
+    expected = [abs(int(S[i, i])) for i in range(min(S.shape))]
+    assert snf_diagonal(smith_normal_form(A)[1]) == expected
