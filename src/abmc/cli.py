@@ -187,7 +187,10 @@ def _model_structure(spec: dict):
 
 
 def _args(spec: dict) -> dict:
-    return spec.get("arguments", {}) or {}
+    args = spec.get("arguments", {}) or {}
+    if not isinstance(args, dict):
+        raise SchemaError("/arguments", "expected an object")
+    return args
 
 
 def run_command(spec: dict, report: Report):
@@ -215,9 +218,11 @@ def run_command(spec: dict, report: Report):
         return
 
     if cmd == "factorize":
+        mode = args.get("mode", "cof_then_acyclic_fib")
+        if mode not in ("cof_then_acyclic_fib", "acyclic_cof_then_fib"):
+            raise SchemaError("/arguments/mode", "expected cof_then_acyclic_fib or acyclic_cof_then_fib")
         ms = _model_structure(spec)
         f = morphism_from_json(args["f"], "/arguments/f")
-        mode = args.get("mode", "cof_then_acyclic_fib")
         fac = factorize(ms, f, mode)
         report.add(
             f"factorize[{mode}]",
@@ -312,6 +317,7 @@ def run_command(spec: dict, report: Report):
         return
 
     if cmd == "gorenstein":
+        n_examples = _int_in(args.get("examples", 10), "/arguments/examples", 1, 1000)
         ms = gorenstein_model_structure()
         alg = ms.algebra
         d = ring_injective_dimension(alg)
@@ -325,7 +331,6 @@ def run_command(spec: dict, report: Report):
         )
         sampler = Sampler([m for m in ms.catalog if not m.is_zero], seed, tag="gp")
         bad = 0
-        n_examples = int(_args(spec).get("examples", 10))
         for _ in range(n_examples):
             g = gp_example(sampler.module(), 1)
             if not gp_test(g, 1).holds:
@@ -335,8 +340,8 @@ def run_command(spec: dict, report: Report):
 
     if cmd == "gillespie-verify":
         suite = gillespie_suite(
-            max_dim=int(args.get("max_dim", 3)),
-            max_length=int(args.get("max_length", 4)),
+            max_dim=_int_in(args.get("max_dim", 3), "/arguments/max_dim", 1, max_dim_cap()),
+            max_length=_int_in(args.get("max_length", 4), "/arguments/max_length", 1, 8),
             seed=seed,
         )
         catalog = complex_catalog(

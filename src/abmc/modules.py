@@ -149,6 +149,20 @@ class Algebra:
                 return None
         return {"op": tuple(tuple(r) for r in table), "unit": e, "inv": tuple(inv)}
 
+    @cached_property
+    def non_unit_basis(self) -> tuple[int, ...]:
+        """Indices other than u when the unit is a basis vector e_u, else all.
+
+        Since e_u * e_j = e_j = e_j * e_u, once e_u acts as the identity a
+        product or action needs checking only on these indices."""
+        if sorted(self.unit) == [0] * (self.rank - 1) + [1]:
+            return tuple(k for k, c in enumerate(self.unit) if not c)
+        return tuple(range(self.rank))
+
+    @cached_property
+    def zero_module(self) -> "Module":
+        return Module(self, (), tuple(Mat.zeros(0, 0) for _ in range(self.rank)))
+
     @property
     def is_group_algebra(self) -> bool:
         return self.group_table is not None
@@ -260,11 +274,6 @@ def _canonical_orders_ok(orders: Sequence[int], is_field: bool) -> bool:
     return True
 
 
-def _reduce_entry(x: int, modulus: int, ring: BaseRing) -> int:
-    x = ring.reduce(x)
-    return x % modulus if modulus else x
-
-
 @dataclass(frozen=True)
 class Module:
     """Finitely generated module in canonical presentation.
@@ -286,12 +295,9 @@ class Module:
             raise ModuleError(f"orders not in canonical form: {self.orders}")
         if len(self.actions) != alg.rank:
             raise ModuleError("one action matrix per algebra basis element required")
-        reduced = []
-        for T in self.actions:
-            if T.rows != g or T.cols != g:
-                raise ModuleError("action matrices must be gens x gens")
-            reduced.append(self._reduce_matrix(T))
-        object.__setattr__(self, "actions", tuple(reduced))
+        if any(T.rows != g or T.cols != g for T in self.actions):
+            raise ModuleError("action matrices must be gens x gens")
+        object.__setattr__(self, "actions", tuple(map(self._reduce_matrix, self.actions)))
         for k, T in enumerate(self.actions):
             # relation lattice maps into itself: order d_j kills column j
             for j, dj in enumerate(self.orders):
@@ -308,29 +314,36 @@ class Module:
                         raise ModuleError(
                             f"action {k} sends torsion generator {j} to a free coordinate"
                         )
-        # multiplication table holds modulo relations
-        for i in range(alg.rank):
-            for j in range(alg.rank):
-                lhs = self.actions[i] @ self.actions[j]
-                rhs = Mat.zeros(g, g)
-                for k, c in enumerate(alg.mult[i][j]):
-                    if c:
-                        rhs = rhs + self.actions[k].scale(c)
-                if self._reduce_matrix(lhs) != self._reduce_matrix(rhs):
-                    raise ModuleError(f"actions violate the multiplication table at ({i}, {j})")
-        unit_act = Mat.zeros(g, g)
-        for k, c in enumerate(alg.unit):
-            if c:
-                unit_act = unit_act + self.actions[k].scale(c)
-        if self._reduce_matrix(unit_act) != self._reduce_matrix(Mat.identity(g)):
+        # unit before table: it makes the table hold at pairs involving a unit e_u
+        if self._combination(alg.unit) != Mat.identity(g):
             raise ModuleError("unit does not act as the identity")
+        # multiplication table holds modulo relations, at the remaining pairs
+        basis = alg.non_unit_basis
+        for i in basis:
+            for j in basis:
+                lhs = self._reduce_matrix(self.actions[i] @ self.actions[j])
+                if lhs != self._combination(alg.mult[i][j]):
+                    raise ModuleError(f"actions violate the multiplication table at ({i}, {j})")
+
+    def _combination(self, coeffs: Sequence[int]) -> Mat:
+        """The reduced matrix of sum_k coeffs[k] * actions[k]."""
+        g = self.gens
+        terms = [[c * x for x in T.entries] for c, T in zip(coeffs, self.actions) if c]
+        ent = tuple(map(sum, zip(*terms))) if terms else (0,) * (g * g)
+        return self._reduce_matrix(Mat(g, g, ent))
 
     def _reduce_matrix(self, m: Mat) -> Mat:
-        ring = self.algebra.base
+        p = self.algebra.base.p
+        if p:
+            return Mat(m.rows, m.cols, tuple(x % p for x in m.entries))
+        if not any(self.orders):
+            return m
+        c, e = m.cols, m.entries
         ent = []
         for i in range(m.rows):
             d = self.orders[i]
-            ent.extend(_reduce_entry(x, d, ring) for x in m.row(i))
+            row = e[i * c : (i + 1) * c]
+            ent.extend([x % d for x in row] if d else row)
         return Mat(m.rows, m.cols, tuple(ent))
 
     @property
@@ -381,7 +394,8 @@ class Module:
 
 
 def zero_module(algebra: Algebra) -> Module:
-    return Module(algebra, (), tuple(Mat.zeros(0, 0) for _ in range(algebra.rank)))
+    """The zero module over `algebra`: one shared instance per algebra."""
+    return algebra.zero_module
 
 
 def free_module(algebra: Algebra, r: int) -> Module:
@@ -504,6 +518,8 @@ class Morphism:
                 f"matrix shape {self.matrix.rows}x{self.matrix.cols} does not match "
                 f"{self.dst.gens}x{self.src.gens}"
             )
+        if not self.matrix.entries:
+            return  # every later check is a statement about no entries
         m = self.dst._reduce_matrix(self.matrix)
         object.__setattr__(self, "matrix", m)
         ring = self.src.ring
@@ -518,7 +534,8 @@ class Morphism:
                         raise ModuleError(f"relation violation at entry ({i}, {j})")
                 elif ring.reduce(v) != 0:
                     raise ModuleError(f"relation violation at entry ({i}, {j})")
-        for k in range(self.src.algebra.rank):
+        # e_u acts as the identity on both ends when the unit is a basis vector
+        for k in self.src.algebra.non_unit_basis:
             lhs = m @ self.src.actions[k]
             rhs = self.dst.actions[k] @ m
             if self.dst._reduce_matrix(lhs) != self.dst._reduce_matrix(rhs):

@@ -98,6 +98,48 @@ def test_seed_and_bounds_subprocess_have_no_traceback(tmp_path, argv, pointer):
     assert "Traceback" not in proc.stderr
 
 
+def _preset_arguments_argv(tmp_path, command, preset, arguments):
+    return [command, _write_spec(tmp_path, {"arguments": arguments}), "--preset", preset, "--json"]
+
+
+BAD_ARGUMENTS = (
+    [("gorenstein", "gorenstein-zc2", "examples", v) for v in ("x", True, 0, -1, 2.0, 1001)]
+    + [("gillespie-verify", "gillespie-proj-f2c2", "max_dim", v) for v in ("x", False, 0, 1.5, cli.max_dim_cap() + 1)]
+    + [("gillespie-verify", "gillespie-proj-f2c2", "max_length", v) for v in ("x", True, 0, -3, 9)]
+    + [("factorize", "qf-f2c2", "mode", v) for v in ("bogus", 1, ["cof_then_acyclic_fib"])]
+)
+
+
+@pytest.mark.parametrize("command,preset,name,value", BAD_ARGUMENTS)
+def test_command_arguments_rejected(tmp_path, capsys, command, preset, name, value):
+    code = cli.main(_preset_arguments_argv(tmp_path, command, preset, {name: value}))
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"/arguments/{name}" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("arguments", ["x", ["examples"], 3])
+def test_non_object_arguments_rejected(tmp_path, capsys, arguments):
+    code = cli.main(_preset_arguments_argv(tmp_path, "gorenstein", "gorenstein-zc2", arguments))
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "/arguments" in err
+    assert "Traceback" not in err
+
+
+def test_command_arguments_subprocess_have_no_traceback(tmp_path):
+    env = dict(os.environ, PYTHONPATH=SRC)
+    argv = _preset_arguments_argv(tmp_path, "gorenstein", "gorenstein-zc2", {"examples": "x"})
+    proc = subprocess.run(
+        [sys.executable, "-m", "abmc.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 2
+    assert "/arguments/examples" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_catalog_bounds_accepted(tmp_path, capsys):
     spec = {"command": "catalog", "algebra": algebra_to_json(algebra_zc2()), "bounds": 1}
     code = cli.main(["catalog", _write_spec(tmp_path, spec), "--json"])

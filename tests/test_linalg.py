@@ -20,6 +20,7 @@ from abmc.linalg import (
     snf_diagonal,
     solve_congruence,
     solve_linear,
+    spans_equal,
 )
 
 F2 = BaseRing(2)
@@ -316,3 +317,58 @@ def test_snf_diagonal_matches_sympy(A):
     S = sympy_snf(sympy.Matrix(A.to_lists()), domain=sympy.ZZ)
     expected = [abs(int(S[i, i])) for i in range(min(S.shape))]
     assert snf_diagonal(smith_normal_form(A)[1]) == expected
+
+
+def _to_sympy(sympy, m: Mat):
+    return sympy.Matrix(m.rows, m.cols, list(m.entries))
+
+
+def _column_ops(m: Mat, rng: random.Random, steps: int) -> Mat:
+    # unimodular column operations: swaps, negations and col_j += k * col_i
+    cols = [list(m.col(j)) for j in range(m.cols)]
+    for _ in range(steps if len(cols) > 1 else 0):
+        i, j = rng.sample(range(len(cols)), 2)
+        op = rng.randrange(3)
+        if op == 0:
+            cols[i], cols[j] = cols[j], cols[i]
+        elif op == 1:
+            cols[i] = [-x for x in cols[i]]
+        else:
+            k = rng.randint(-3, 3)
+            cols[j] = [a + k * b for a, b in zip(cols[j], cols[i])]
+    return Mat.from_columns(cols, rows=m.rows)
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_int_matrices(min_dim=1), st.integers(0, 2**32), st.sampled_from(["ops", "extended", "scaled", "random"]))
+def test_spans_equal_matches_sympy_hnf(A, seed, how):
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import hermite_normal_form
+
+    rng = random.Random(seed)
+    if how == "random":
+        B = Mat.from_rows([[rng.randint(-6, 6) for _ in range(A.cols)] for _ in range(A.rows)], cols=A.cols)
+    else:
+        B = A
+        if how == "extended":
+            extra = Mat.from_rows([[rng.randint(-2, 2)] for _ in range(A.cols)])
+            B = B.hstack(A @ extra)
+        elif how == "scaled":
+            j = rng.randrange(A.cols)
+            B = Mat.from_columns([[2 * x for x in A.col(c)] if c == j else list(A.col(c)) for c in range(A.cols)], rows=A.rows)
+        B = _column_ops(B, rng, 12)
+    same = hermite_normal_form(_to_sympy(sympy, A)) == hermite_normal_form(_to_sympy(sympy, B))
+    assert spans_equal(A, B, ZZ) == same
+
+
+@settings(max_examples=80, deadline=None)
+@given(small_int_matrices(min_dim=1))
+def test_quotient_torsion_matches_sympy_invariant_factors(S):
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import invariant_factors
+
+    S_ = _to_sympy(sympy, S)
+    q = quotient_group(Mat.identity(S.rows), S, ZZ)
+    factors = [abs(int(d)) for d in invariant_factors(S_, domain=sympy.ZZ)]
+    assert [d for d in q.invariants if d] == [d for d in factors if d > 1]
+    assert q.invariants.count(0) == S.rows - S_.rank()

@@ -1,4 +1,7 @@
+from math import gcd
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from abmc.homology import hom_group
 from abmc.linalg import BaseRing, Mat, ZZ
@@ -37,6 +40,7 @@ from abmc.modules import (
 )
 
 F2 = BaseRing(2)
+F3 = BaseRing(3)
 
 
 @pytest.fixture(scope="module")
@@ -150,6 +154,161 @@ def test_action_relation_violation(zc2):
     # torsion generator mapped into a free coordinate is rejected
     with pytest.raises(ModuleError):
         Module(zc2, (2, 0), (Mat.identity(2), Mat.from_rows([[1, 0], [1, 1]])))
+
+
+# -- construction checks -----------------------------------------------------
+# F2[C2] and Z[C2] have the unit as a basis vector, so only their non-unit
+# actions are checked against the table; the triangular algebra's unit
+# e11 + e22 is not a basis vector, so all of its actions are.
+
+
+F2C2 = cyclic_group_algebra(F2, 2)
+ZC2 = cyclic_group_algebra(ZZ, 2)
+TRI = upper_triangular_algebra(F2)
+
+
+def _m(*rows):
+    return Mat.from_rows(rows)
+
+
+def _tri_simple(k):
+    # the simple module S_k: e_kk acts as 1, everything else as 0
+    return Module(TRI, (0,), tuple(_m([int(i == k)]) for i in range(3)))
+
+
+TABLE_BREAKS = {
+    # g acts nilpotently, so g * g = 1 fails at (1, 1)
+    "f2c2": lambda: Module(F2C2, (0, 0), (Mat.identity(2), _m([0, 1], [0, 0]))),
+    # g acts as 2 on Z, so g * g acts as 4, not 1
+    "zc2": lambda: Module(ZC2, (0,), (_m([1]), _m([2]))),
+    # e12 * e11 = 0 fails, though e11 + e22 acts as 1
+    "tri": lambda: Module(TRI, (0,), (_m([1]), _m([0]), _m([1]))),
+}
+
+UNIT_BREAKS = {
+    # 1 and g both act as the same idempotent: the table holds, the unit does not
+    "f2c2": lambda: Module(F2C2, (0, 0), (_m([1, 0], [0, 0]),) * 2),
+    "zc2": lambda: Module(ZC2, (4,), (_m([0]), _m([0]))),
+    # e11 + e22 acts as 2 = 0; e11 * e22 = 0 fails too, and the unit is reported
+    "tri": lambda: Module(TRI, (0,), (_m([1]), _m([1]), _m([0]))),
+}
+
+NON_COMMUTING = {
+    # trivial module into the regular one at the basis vector 1, which g moves
+    "f2c2": lambda: Morphism(trivial_module(F2C2), free_module(F2C2, 1), _m([1], [0])),
+    "zc2": lambda: Morphism(trivial_module(ZC2), free_module(ZC2, 1), _m([1], [0])),
+    "tri": lambda: Morphism(_tri_simple(0), _tri_simple(1), _m([1])),
+}
+
+RELATION_BREAKS = {
+    # 2 kills the source generator but not its image
+    "z2_to_z": lambda: Morphism(cyclic_z_module(ZC2, 2), trivial_module(ZC2), _m([1])),
+    "z2_to_z4": lambda: Morphism(cyclic_z_module(ZC2, 2), cyclic_z_module(ZC2, 4), _m([1])),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TABLE_BREAKS))
+def test_module_breaking_the_table_rejected(case):
+    with pytest.raises(ModuleError, match="multiplication table"):
+        TABLE_BREAKS[case]()
+
+
+@pytest.mark.parametrize("case", sorted(UNIT_BREAKS))
+def test_module_with_non_identity_unit_rejected(case):
+    with pytest.raises(ModuleError, match="unit does not act"):
+        UNIT_BREAKS[case]()
+
+
+@pytest.mark.parametrize("case", sorted(NON_COMMUTING))
+def test_morphism_not_commuting_rejected(case):
+    with pytest.raises(ModuleError, match="does not commute"):
+        NON_COMMUTING[case]()
+
+
+@pytest.mark.parametrize("case", sorted(RELATION_BREAKS))
+def test_z_morphism_breaking_a_relation_rejected(case):
+    with pytest.raises(ModuleError, match="relation violation"):
+        RELATION_BREAKS[case]()
+
+
+def test_empty_matrix_shape_still_checked(f2c2, zc2):
+    zero, r = zero_module(f2c2), free_module(f2c2, 1)
+    assert Morphism(zero, r, Mat.zeros(2, 0)).matrix == Mat.zeros(2, 0)
+    for src, dst, m in ((zero, r, Mat.zeros(0, 0)), (r, zero, Mat.zeros(0, 0)), (zero, zero, Mat.zeros(0, 3))):
+        with pytest.raises(ModuleError, match="does not match"):
+            Morphism(src, dst, m)
+    with pytest.raises(ModuleError, match="different algebras"):
+        Morphism(zero, zero_module(zc2), Mat.zeros(0, 0))
+
+
+def test_zero_module_shared_per_algebra(f2c2, zc2):
+    assert zero_module(f2c2) is zero_module(f2c2)
+    assert zero_module(f2c2) == Module(f2c2, (), (Mat.zeros(0, 0),) * 2)
+    assert zero_module(zc2).algebra is zc2
+
+
+def test_non_unit_basis():
+    assert cyclic_group_algebra(F2, 3).non_unit_basis == (1, 2)
+    assert base_algebra(ZZ).non_unit_basis == ()
+    assert upper_triangular_algebra(F2).non_unit_basis == (0, 1, 2)
+
+
+# -- reduction: stored matrices equal the per-entry formula -----------------
+
+
+def reference_reduce(m: Mat, orders, ring: BaseRing) -> Mat:
+    ent = []
+    for i in range(m.rows):
+        d = orders[i]
+        for x in m.row(i):
+            x = ring.reduce(x)
+            ent.append(x % d if d else x)
+    return Mat(m.rows, m.cols, tuple(ent))
+
+
+Z_ORDERS = [(), (0,), (2,), (6,), (2, 4, 0), (3, 0, 0), (2, 2, 6), (5, 0), (0, 0)]
+
+
+@st.composite
+def reduction_cases(draw):
+    ring = draw(st.sampled_from([F2, F3, ZZ]))
+    if ring.is_field:
+        orders = (0,) * draw(st.integers(0, 3))
+    else:
+        orders = draw(st.sampled_from(Z_ORDERS))
+    g = len(orders)
+    ints = st.integers(-40, 40)
+
+    def rand(rows, cols):
+        return [[draw(ints) for _ in range(cols)] for _ in range(rows)]
+
+    def killed():
+        # row i a multiple of what its reduction kills: p, d_i, or nothing (Z, d_i = 0)
+        mods = [ring.p or d for d in orders]
+        return Mat.from_rows([[mods[i] * x for x in r] for i, r in enumerate(rand(g, g))], cols=g)
+
+    sign = draw(st.sampled_from([1, -1]))
+    actions = (Mat.identity(g) + killed(), Mat.identity(g).scale(sign) + killed())
+    # a map M -> M: entry (i, j) must be killed by d_j modulo d_i
+    f = [
+        [0 if dj and not di else x * (di // gcd(di, dj) if dj else 1) for dj, x in zip(orders, r)]
+        for di, r in zip(orders, rand(g, g))
+    ]
+    c = draw(st.integers(0, 4))
+    loose = Mat.from_rows(rand(g, c), cols=c)
+    return ring, orders, actions, Mat.from_rows(f, cols=g), loose
+
+
+@settings(max_examples=150, deadline=None)
+@given(reduction_cases())
+def test_reduction_matches_per_entry_formula(case):
+    ring, orders, actions, f, loose = case
+    m = Module(cyclic_group_algebra(ring, 2), orders, actions)
+    # stored actions, a stored morphism and a free-standing reduction
+    for stored, given_ in zip(m.actions, actions):
+        assert stored == reference_reduce(given_, orders, ring)
+    assert Morphism(m, m, f).matrix == reference_reduce(f, orders, ring)
+    assert m._reduce_matrix(loose) == reference_reduce(loose, orders, ring)
 
 
 # -- kernels and cokernels ---------------------------------------------------
