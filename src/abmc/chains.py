@@ -17,14 +17,16 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
-from .linalg import Mat, QuotientGroup, quotient_group, solve_congruence, congruence_kernel
+from .linalg import Mat, QuotientGroup, quotient_group
 from .modules import (
     Algebra,
     Module,
     ModuleError,
     Morphism,
+    MorphismSystem,
     _cokernel_with_section,
     descend_by_section,
+    direct_sum,
     factor_through_mono,
     identity,
     is_epic,
@@ -34,7 +36,7 @@ from .modules import (
     zero_module,
     zero_morphism,
 )
-from .homology import ExtGroup, ext, free_presentation, hom_solution_columns, _zero_lattice_columns
+from .homology import ExtGroup, ext, free_presentation, hom_solution_columns
 from .cotorsion import (
     ClassDescriptor,
     CotorsionPair,
@@ -267,128 +269,15 @@ class ChainHomotopy:
         return chain_map(self.src, self.dst, comps)
 
 
-# ---------------------------------------------------------------------------
-# Block systems: flattened unknowns over several degree-indexed morphisms
-# ---------------------------------------------------------------------------
-
-
-class _BlockSystem:
-    """Linear congruence system over block variables (one matrix per degree)."""
-
-    def __init__(self, blocks: dict[int, tuple[Module, Module]]):
-        # blocks[n] = (src_module, dst_module): unknown matrix dst x src
-        self.blocks = blocks
-        self.offsets = {}
-        off = 0
-        for n in sorted(blocks):
-            s, d = blocks[n]
-            self.offsets[n] = off
-            off += d.gens * s.gens
-        self.total = off
-        self.rows: list[list[int]] = []
-        self.moduli: list[int] = []
-        self.rhs: list[int] = []
-
-    def _idx(self, n: int, i: int, j: int) -> int:
-        s, d = self.blocks[n]
-        return self.offsets[n] + i * s.gens + j
-
-    def add_validity(self, n: int):
-        """Morphism constraints for block n (relations and action commuting)."""
-        s, d = self.blocks[n]
-        for j, dj in enumerate(s.orders):
-            if not dj:
-                continue
-            for i in range(d.gens):
-                row = [0] * self.total
-                row[self._idx(n, i, j)] = dj
-                self.rows.append(row)
-                self.moduli.append(d.orders[i])
-                self.rhs.append(0)
-        for k in range(s.algebra.rank):
-            A = s.actions[k]
-            B = d.actions[k]
-            for i in range(d.gens):
-                for j in range(s.gens):
-                    row = [0] * self.total
-                    for t in range(s.gens):
-                        row[self._idx(n, i, t)] += A[t, j]
-                    for t in range(d.gens):
-                        row[self._idx(n, t, j)] -= B[i, t]
-                    self.rows.append(row)
-                    self.moduli.append(d.orders[i])
-                    self.rhs.append(0)
-
-    def add_composite_equation(
-        self,
-        terms: Sequence[tuple[int, Optional[Mat], Optional[Mat]]],
-        target: Module,
-        source: Module,
-        rhs: Optional[Mat] = None,
-    ):
-        """sum_k  L_k  X_{n_k}  R_k  =  rhs  (mod target orders).
-
-        Each term is (block degree, left matrix or None, right matrix or None);
-        None means identity.  Shapes: L: target x d_n, R: s_n x source.
-        """
-        for i in range(target.gens):
-            for j in range(source.gens):
-                row = [0] * self.total
-                for n, L, R in terms:
-                    s, d = self.blocks[n]
-                    for a in range(d.gens):
-                        la = L[i, a] if L is not None else (1 if i == a else 0)
-                        if not la:
-                            continue
-                        for b in range(s.gens):
-                            rb = R[b, j] if R is not None else (1 if b == j else 0)
-                            if rb:
-                                row[self._idx(n, a, b)] += la * rb
-                self.rows.append(row)
-                self.moduli.append(target.orders[i])
-                self.rhs.append(rhs[i, j] if rhs is not None else 0)
-
-    def solve(self, ring) -> Optional[dict[int, Mat]]:
-        C = Mat.from_rows(self.rows, cols=self.total)
-        sol = solve_congruence(C, self.moduli, Mat.column(self.rhs), ring)
-        if sol is None:
-            return None
-        return self._split(sol)
-
-    def kernel(self, ring) -> list[dict[int, Mat]]:
-        C = Mat.from_rows(self.rows, cols=self.total)
-        ker = congruence_kernel(C, self.moduli, ring)
-        return [self._split(Mat.column(ker.col(j))) for j in range(ker.cols)]
-
-    def kernel_columns(self, ring) -> Mat:
-        C = Mat.from_rows(self.rows, cols=self.total)
-        return congruence_kernel(C, self.moduli, ring)
-
-    def _split(self, flat: Mat) -> dict[int, Mat]:
-        out = {}
-        for n in sorted(self.blocks):
-            s, d = self.blocks[n]
-            off = self.offsets[n]
-            out[n] = Mat(d.gens, s.gens, tuple(flat.entries[off : off + d.gens * s.gens]))
-        return out
-
-    def flatten_blocks(self, mats: dict[int, Mat]) -> Mat:
-        ent = []
-        for n in sorted(self.blocks):
-            s, d = self.blocks[n]
-            m = mats.get(n)
-            ent.extend(m.entries if m is not None else (0,) * (d.gens * s.gens))
-        return Mat.column(ent)
-
-
-def _chain_map_system(x: ChainComplex, y: ChainComplex) -> _BlockSystem:
+def _chain_map_system(x: ChainComplex, y: ChainComplex) -> MorphismSystem:
     blocks = {}
     for n in range(min(x.lo, y.lo), max(x.hi, y.hi) + 1):
         if x.entry(n).gens and y.entry(n).gens:
             blocks[n] = (x.entry(n), y.entry(n))
-    sys = _BlockSystem(blocks)
+    sys = MorphismSystem(blocks)
     for n in blocks:
-        sys.add_validity(n)
+        sys.add_relations(n)
+        sys.add_commutation(n)
     # commuting squares: d_Y f_n - f_{n-1} d_X = 0 as maps X_n -> Y_{n-1}
     for n in range(min(x.lo, y.lo), max(x.hi, y.hi) + 2):
         src, tgt = x.entry(n), y.entry(n - 1)
@@ -398,30 +287,17 @@ def _chain_map_system(x: ChainComplex, y: ChainComplex) -> _BlockSystem:
         if n in blocks:
             terms.append((n, y.diff(n).matrix, None))
         if n - 1 in blocks:
-            terms.append((n - 1, Mat.identity(tgt.gens).scale(-1), x.diff(n).matrix))
+            terms.append((n - 1, None, x.diff(n).matrix.scale(-1)))
         if terms:
-            sys.add_composite_equation(terms, tgt, src)
+            sys.add_equation(terms, tgt, src)
     return sys
 
 
-def chain_map_group(x: ChainComplex, y: ChainComplex) -> tuple[_BlockSystem, Mat, Mat]:
+def chain_map_group(x: ChainComplex, y: ChainComplex) -> tuple[MorphismSystem, Mat, Mat]:
     """Solution lattice of chain maps x -> y plus the zero-morphism lattice."""
     sys = _chain_map_system(x, y)
     sols = sys.kernel_columns(x.algebra.base) if sys.total else Mat.zeros(0, 0)
-    zero_cols = []
-    for n in sorted(sys.blocks):
-        s, d = sys.blocks[n]
-        z = _zero_lattice_columns(s, d)
-        for j in range(z.cols):
-            zero_cols.append(
-                sys.flatten_blocks({n: Mat(d.gens, s.gens, tuple(z.col(j)))})
-            )
-    zeros = (
-        Mat.from_columns([list(c.col(0)) for c in zero_cols], rows=sys.total)
-        if zero_cols
-        else Mat.zeros(sys.total, 0)
-    )
-    return sys, sols, zeros
+    return sys, sols, sys.zero_columns()
 
 
 def chain_maps_basis(x: ChainComplex, y: ChainComplex) -> list[ChainMap]:
@@ -432,7 +308,7 @@ def chain_maps_basis(x: ChainComplex, y: ChainComplex) -> list[ChainMap]:
     if q is None:
         return out
     for j in range(q.generators.cols):
-        mats = sys._split(Mat.column(q.generators.col(j)))
+        mats = sys.split(Mat.column(q.generators.col(j)))
         comps = {
             n: Morphism(sys.blocks[n][0], sys.blocks[n][1], m)
             for n, m in mats.items()
@@ -448,9 +324,10 @@ def null_homotopy(f: ChainMap) -> Optional[ChainHomotopy]:
     for n in range(x.lo, x.hi + 1):
         if x.entry(n).gens and y.entry(n + 1).gens:
             blocks[n] = (x.entry(n), y.entry(n + 1))
-    sys = _BlockSystem(blocks)
+    sys = MorphismSystem(blocks)
     for n in blocks:
-        sys.add_validity(n)
+        sys.add_relations(n)
+        sys.add_commutation(n)
     for n in range(min(x.lo, y.lo), max(x.hi, y.hi) + 1):
         src, tgt = x.entry(n), y.entry(n)
         if not (src.gens and tgt.gens):
@@ -461,7 +338,7 @@ def null_homotopy(f: ChainMap) -> Optional[ChainHomotopy]:
         if n - 1 in blocks:
             terms.append((n - 1, None, x.diff(n).matrix))
         # empty terms leave the all-zero row: solvable iff f_n is zero mod orders
-        sys.add_composite_equation(terms, tgt, src, rhs=f.part(n).matrix)
+        sys.add_equation(terms, tgt, src, rhs=f.part(n).matrix)
     if sys.total == 0:
         if all(fp.is_zero for _, fp in f.parts):
             return ChainHomotopy(x, y, ())
@@ -484,8 +361,6 @@ def complex_direct_sum(
     xs: Sequence[ChainComplex],
 ) -> tuple[ChainComplex, list[dict[int, Morphism]], list[dict[int, Morphism]]]:
     """Degreewise direct sum with per-summand inclusion and projection parts."""
-    from .modules import direct_sum as module_sum
-
     xs = [x for x in xs if not x.is_zero]
     if not xs:
         raise ChainError("sum of zero complexes")
@@ -502,7 +377,7 @@ def complex_direct_sum(
         incls = [identity(total)]
         projs = [identity(total)]
         for m in mods[1:]:
-            b = module_sum(total, m)
+            b = direct_sum(total, m)
             incls = [Morphism(inc.src, b.module, b.i1.matrix @ inc.matrix) for inc in incls]
             projs = [Morphism(b.module, pr.dst, pr.matrix @ b.p1.matrix) for pr in projs]
             incls.append(b.i2)
@@ -696,7 +571,7 @@ def _homotopy_quotient(y: ChainComplex, sx: ChainComplex) -> tuple[int, ...]:
                 m = s_n @ y.diff(n + 1).matrix
                 comps[n + 1] = comps.get(n + 1, Mat.zeros(m.rows, m.cols)) + m
             if comps:
-                boundary_cols.append(sys.flatten_blocks(comps))
+                boundary_cols.append(sys.flatten(comps))
     sub = zeros
     if boundary_cols:
         bmat = Mat.from_columns([list(c.col(0)) for c in boundary_cols], rows=sys.total)
@@ -712,8 +587,6 @@ def _resolution_route(y: ChainComplex, x: ChainComplex) -> tuple[int, ...]:
     projectives have vanishing chain Ext, so Ext^1(y, x) is the cokernel of
     Hom(P, x) -> Hom(K, x).
     """
-    from .modules import free_module
-
     alg = y.algebra
     summands = []
     covers = {}
@@ -754,14 +627,14 @@ def _resolution_route(y: ChainComplex, x: ChainComplex) -> tuple[int, ...]:
     sysP, solsP, _ = chain_map_group(total, x)
     restricted = []
     for j in range(solsP.cols):
-        mats = sysP._split(Mat.column(solsP.col(j)))
+        mats = sysP.split(Mat.column(solsP.col(j)))
         comps_r = {}
         for n in sysK.blocks:
             phi = mats.get(n)
             if phi is None:
                 continue
             comps_r[n] = phi @ kincl.part(n).matrix
-        restricted.append(sysK.flatten_blocks(comps_r))
+        restricted.append(sysK.flatten(comps_r))
     sub = zerosK
     if restricted:
         rmat = Mat.from_columns([list(c.col(0)) for c in restricted], rows=sysK.total)
@@ -837,11 +710,12 @@ def random_complex(
         if not (src.gens and dst.gens):
             diffs.insert(0, zero_morphism(src, dst))
             continue
-        sys = _BlockSystem({0: (src, dst)})
-        sys.add_validity(0)
+        sys = MorphismSystem({0: (src, dst)})
+        sys.add_relations(0)
+        sys.add_commutation(0)
         if above is not None and above.src.gens:
             # the unknown d_i must kill the image of the previously built d_{i+1}
-            sys.add_composite_equation([(0, None, above.matrix)], dst, above.src)
+            sys.add_equation([(0, None, above.matrix)], dst, above.src)
         ker = sys.kernel_columns(alg.base)
         if ker.cols == 0:
             diffs.insert(0, zero_morphism(src, dst))

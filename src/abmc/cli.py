@@ -34,9 +34,10 @@ from .cotorsion import (
 )
 from .chains import complex_catalog, verify_induced_pair
 from .homology import ext, free_presentation, hom_group, is_projective
-from .linalg import LinalgError
+from .linalg import LinalgError, Mat
 from .model import (
     LiftProblem,
+    ModelStructureError,
     classify_with_weq,
     factorize,
     is_weak_equivalence,
@@ -44,11 +45,21 @@ from .model import (
     monoidal_check,
     stable_hom,
 )
-from .modules import ModuleError, trivial_module
+from .modules import (
+    ModuleError,
+    Morphism,
+    SES,
+    cyclic_z_module,
+    free_module,
+    is_pure,
+    trivial_module,
+)
 from .presets import (
     PRESET_NAMES,
     PresetError,
+    algebra_f2c2,
     algebra_z,
+    algebra_zc2,
     gillespie_suite,
     gorenstein_model_structure,
     model_structure_for,
@@ -129,8 +140,6 @@ def load_spec(path: Optional[str]) -> dict:
 def preset_bundle(name: str) -> dict:
     """Fully materialized problem-spec bundle for a shipped preset."""
     if name == "qf-f2c2":
-        from .presets import algebra_f2c2
-
         return {
             "format": 1,
             "preset": name,
@@ -141,8 +150,6 @@ def preset_bundle(name: str) -> dict:
             "bounds": 4,
         }
     if name == "gorenstein-zc2":
-        from .presets import algebra_zc2
-
         return {
             "format": 1,
             "preset": name,
@@ -153,8 +160,6 @@ def preset_bundle(name: str) -> dict:
             "bounds": 4,
         }
     if name == "gillespie-proj-f2c2":
-        from .presets import algebra_f2c2
-
         return {
             "format": 1,
             "preset": name,
@@ -347,8 +352,6 @@ def run_command(spec: dict, report: Report):
         catalog = complex_catalog(
             suite.module_catalog, suite.max_length, seed=seed, random_count=8
         )
-        from .modules import free_module
-
         dfam = [free_module(suite.algebra, 1), free_module(suite.algebra, 2)]
         efam = [m for m in suite.module_catalog if not m.is_zero][:4]
         rep = verify_induced_pair(suite.base_pair, catalog, (dfam, efam), seed=seed)
@@ -392,8 +395,6 @@ def run_command(spec: dict, report: Report):
 
 
 def _run_purity(report: Report, seed: int):
-    from .modules import SES, is_pure
-
     suite = purity_suite()
     pool = [m for m in suite.module_catalog if not m.is_zero]
     sampler = Sampler(pool, seed, tag="purity")
@@ -406,9 +407,6 @@ def _run_purity(report: Report, seed: int):
         if not rep.pure:
             failures += 1
     report.add("split_ses_pure", failures == 0, {"checked": checked})
-    from .linalg import Mat
-    from .modules import Morphism, cyclic_z_module, free_module
-
     alg = suite.algebra
     z = free_module(alg, 1)
     m2 = cyclic_z_module(alg, 2)
@@ -464,7 +462,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         msg = f"spec error: {e}" if not isinstance(e, KeyError) else f"spec error: missing argument {e}"
         print(msg, file=sys.stderr)
         return 2
-    except (ModuleError, LinalgError, CotorsionError) as e:
+    except (ModuleError, LinalgError, CotorsionError, ModelStructureError) as e:
         print(f"computation rejected the input: {e}", file=sys.stderr)
         return 2
     report.timing_ms = int((time.monotonic() - started) * 1000)

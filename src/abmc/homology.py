@@ -1,9 +1,10 @@
 """Hom groups, free resolutions, Ext groups, splitting, syzygies, dimensions.
 
-Hom(M, N) is the solution group of a linear congruence system (respect the
-source relations, commute with every action) modulo the matrices whose
-columns land in the target's relation lattice.  Ext is computed from cached
-free resolutions: Ext^i(M, N) = coker(Hom(F_{i-1}, N) -> Hom(K_{i-1}, N)).
+Hom(M, N) is the solution group of a one-block `MorphismSystem` (respect the
+source relations, commute with every action) modulo its zero columns, the
+matrices whose columns land in the target's relation lattice.  Ext is
+computed from cached free resolutions:
+Ext^i(M, N) = coker(Hom(F_{i-1}, N) -> Hom(K_{i-1}, N)).
 
 Ext here is computed via projective resolutions, which matches the Yoneda
 definition because these module categories have enough projectives (free
@@ -20,17 +21,12 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional, Sequence
 
-from .linalg import (
-    Mat,
-    QuotientGroup,
-    congruence_kernel,
-    quotient_group,
-    solve_congruence,
-)
+from .linalg import Mat, QuotientGroup, quotient_group
 from .modules import (
     Module,
     ModuleError,
     Morphism,
+    MorphismSystem,
     SES,
     factor_through_mono,
     free_module,
@@ -46,54 +42,16 @@ from .modules import (
 # ---------------------------------------------------------------------------
 
 
-def _zero_lattice_columns(src: Module, dst: Module) -> Mat:
-    """Matrices representing the zero morphism: columns in dst's relations."""
-    n, m = dst.gens, src.gens
-    cols = []
-    for i, d in enumerate(dst.orders):
-        if not d:
-            continue
-        for j in range(m):
-            col = [0] * (n * m)
-            col[i * m + j] = d
-            cols.append(col)
-    return Mat.from_columns(cols, rows=n * m)
-
-
 def hom_solution_columns(src: Module, dst: Module) -> Mat:
     """Columns generate all valid morphism matrices, flattened row-major."""
     if src.algebra != dst.algebra:
         raise ModuleError("hom over different algebras")
-    n, m = dst.gens, src.gens
-    nm = n * m
-    if nm == 0:
-        return Mat.zeros(0, 0) if nm == 0 else Mat.zeros(nm, 0)
-    rows = []
-    moduli = []
-    # source relations map into target relations
-    for j, dj in enumerate(src.orders):
-        if not dj:
-            continue
-        for i in range(n):
-            row = [0] * nm
-            row[i * m + j] = dj
-            rows.append(row)
-            moduli.append(dst.orders[i])
-    # commute with every action: X A_k - B_k X = 0 mod dst orders
-    for k in range(src.algebra.rank):
-        A = src.actions[k]
-        B = dst.actions[k]
-        for i in range(n):
-            for j in range(m):
-                row = [0] * nm
-                for t in range(m):
-                    row[i * m + t] += A[t, j]
-                for t in range(n):
-                    row[t * m + j] -= B[i, t]
-                rows.append(row)
-                moduli.append(dst.orders[i])
-    C = Mat.from_rows(rows, cols=nm)
-    return congruence_kernel(C, moduli, src.ring)
+    if dst.gens * src.gens == 0:
+        return Mat.zeros(0, 0)
+    sys = MorphismSystem({0: (src, dst)})
+    sys.add_relations(0)
+    sys.add_commutation(0)
+    return sys.kernel_columns(src.ring)
 
 
 @dataclass(frozen=True)
@@ -113,35 +71,27 @@ class HomGroup:
     def coordinates(self, f: Morphism) -> tuple[int, ...]:
         if f.src != self.src or f.dst != self.dst:
             raise ModuleError("morphism does not belong to this Hom group")
-        c = self.quotient.coords(_flatten(f.matrix))
+        c = self.quotient.coords(Mat.column(f.matrix.entries))
         if c is None:
             raise ModuleError("morphism escapes the computed Hom group (internal)")
         return c
 
     def element(self, coeffs: Sequence[int]) -> Morphism:
         v = self.quotient.element(coeffs)
-        return Morphism(self.src, self.dst, _unflatten(v, self.dst.gens, self.src.gens))
-
-
-def _flatten(m: Mat) -> Mat:
-    return Mat(m.rows * m.cols, 1, m.entries)
-
-
-def _unflatten(v: Mat, rows: int, cols: int) -> Mat:
-    return Mat(rows, cols, v.entries)
+        return Morphism(self.src, self.dst, Mat(self.dst.gens, self.src.gens, v.entries))
 
 
 @lru_cache(maxsize=None)
 def hom_group(src: Module, dst: Module) -> HomGroup:
     sols = hom_solution_columns(src, dst)
-    zer = _zero_lattice_columns(src, dst)
+    zer = MorphismSystem({0: (src, dst)}).zero_columns()
     amb = dst.gens * src.gens
     if sols.cols == 0:
         q = quotient_group(Mat.zeros(amb, 0), Mat.zeros(amb, 0), src.ring)
         return HomGroup(src, dst, (), (), q)
     q = quotient_group(sols, zer, src.ring)
     basis = tuple(
-        Morphism(src, dst, _unflatten(Mat.column(q.generators.col(j)), dst.gens, src.gens))
+        Morphism(src, dst, Mat(dst.gens, src.gens, q.generators.col(j)))
         for j in range(q.generators.cols)
     )
     return HomGroup(src, dst, q.invariants, basis, q)
@@ -154,12 +104,10 @@ def hom_group(src: Module, dst: Module) -> HomGroup:
 
 def _spans_module(m: Module, cols: Mat) -> bool:
     """Do the columns generate m together with its relations?"""
-    from .linalg import quotient_group as _qg
-
     rel = m.relation_columns()
     gens = cols.hstack(rel) if rel.cols else cols
     amb = Mat.identity(m.gens)
-    return _qg(amb, gens, m.ring).is_zero
+    return quotient_group(amb, gens, m.ring).is_zero
 
 
 def generator_support(m: Module) -> list[int]:
@@ -273,7 +221,7 @@ class ExtGroup:
         return not self.invariants
 
     def class_coordinates(self, cocycle: Morphism) -> tuple[int, ...]:
-        c = self.quotient.coords(_flatten(cocycle.matrix))
+        c = self.quotient.coords(Mat.column(cocycle.matrix.entries))
         if c is None:
             raise ModuleError("not a valid cocycle for this Ext group")
         return c
@@ -281,7 +229,7 @@ class ExtGroup:
     def element(self, coeffs: Sequence[int]) -> Morphism:
         K = syzygy(self.src, self.degree)
         v = self.quotient.element(coeffs)
-        return Morphism(K, self.dst, _unflatten(v, self.dst.gens, K.gens))
+        return Morphism(K, self.dst, Mat(self.dst.gens, K.gens, v.entries))
 
 
 @lru_cache(maxsize=None)
@@ -299,18 +247,18 @@ def ext(m: Module, n: Module, i: int) -> ExtGroup:
     # restriction along the inclusion, on flattened matrices
     restricted = []
     for j in range(f_sols.cols):
-        phi = _unflatten(Mat.column(f_sols.col(j)), n.gens, F.gens)
-        restricted.append(list(_flatten(phi @ incl.matrix).col(0)))
+        phi = Mat(n.gens, F.gens, f_sols.col(j))
+        restricted.append((phi @ incl.matrix).entries)
     amb = n.gens * K.gens
     sub_cols = Mat.from_columns(restricted, rows=amb)
-    zer = _zero_lattice_columns(K, n)
+    zer = MorphismSystem({0: (K, n)}).zero_columns()
     sub = sub_cols.hstack(zer) if zer.cols else sub_cols
     if k_sols.cols == 0:
         q = quotient_group(Mat.zeros(amb, 0), Mat.zeros(amb, 0), m.ring)
         return ExtGroup(m, n, i, (), (), q)
     q = quotient_group(k_sols, sub, m.ring)
     basis = tuple(
-        Morphism(K, n, _unflatten(Mat.column(q.generators.col(j)), n.gens, K.gens))
+        Morphism(K, n, Mat(n.gens, K.gens, q.generators.col(j)))
         for j in range(q.generators.cols)
     )
     return ExtGroup(m, n, i, q.invariants, basis, q)
@@ -351,39 +299,13 @@ def class_of_ses(s: SES) -> tuple[ExtGroup, tuple[int, ...]]:
 
 def _lift_through_epi(p: Morphism, h: Morphism) -> Morphism:
     """x with p @ x = h, for h out of a free module (projectivity lift)."""
-    F = h.src
-    B = p.src
-    nb, nf = B.gens, F.gens
-    rows = []
-    moduli = []
-    rhs = []
-    for i in range(h.dst.gens):
-        for j in range(nf):
-            row = [0] * (nb * nf)
-            for t in range(nb):
-                row[t * nf + j] = p.matrix[i, t]
-            rows.append(row)
-            moduli.append(h.dst.orders[i])
-            rhs.append(h.matrix[i, j])
-    # the unknown must be a morphism: commute with actions
-    for k in range(F.algebra.rank):
-        A = F.actions[k]
-        Bk = B.actions[k]
-        for i in range(nb):
-            for j in range(nf):
-                row = [0] * (nb * nf)
-                for t in range(nf):
-                    row[i * nf + t] += A[t, j]
-                for t in range(nb):
-                    row[t * nf + j] -= Bk[i, t]
-                rows.append(row)
-                moduli.append(B.orders[i])
-                rhs.append(0)
-    Cmat = Mat.from_rows(rows, cols=nb * nf)
-    sol = solve_congruence(Cmat, moduli, Mat.column(rhs), p.ring)
+    sys = MorphismSystem({0: (h.src, p.src)})
+    sys.add_equation([(0, p.matrix, None)], h.dst, h.src, h.matrix)
+    sys.add_commutation(0)
+    sol = sys.solve(p.ring)
     if sol is None:
         raise ModuleError("no lift through the epimorphism (source not free?)")
-    return Morphism(F, B, _unflatten(sol, nb, nf))
+    return Morphism(h.src, p.src, sol[0])
 
 
 # ---------------------------------------------------------------------------
@@ -394,48 +316,12 @@ def _lift_through_epi(p: Morphism, h: Morphism) -> Morphism:
 def is_split(s: SES) -> Optional[Morphism]:
     """A section of p when one exists; decided by a direct linear solve."""
     B, C = s.middle, s.right
-    nb, nc = B.gens, C.gens
-    rows = []
-    moduli = []
-    rhs = []
-    # validity of the section matrix: source relations into target relations
-    for j, dj in enumerate(C.orders):
-        if not dj:
-            continue
-        for i in range(nb):
-            row = [0] * (nb * nc)
-            row[i * nc + j] = dj
-            rows.append(row)
-            moduli.append(B.orders[i])
-            rhs.append(0)
-    # commute with actions
-    for k in range(B.algebra.rank):
-        A = C.actions[k]
-        Bk = B.actions[k]
-        for i in range(nb):
-            for j in range(nc):
-                row = [0] * (nb * nc)
-                for t in range(nc):
-                    row[i * nc + t] += A[t, j]
-                for t in range(nb):
-                    row[t * nc + j] -= Bk[i, t]
-                rows.append(row)
-                moduli.append(B.orders[i])
-                rhs.append(0)
-    # p @ s = id mod C orders
-    for i in range(nc):
-        for j in range(nc):
-            row = [0] * (nb * nc)
-            for t in range(nb):
-                row[t * nc + j] = s.p.matrix[i, t]
-            rows.append(row)
-            moduli.append(C.orders[i])
-            rhs.append(1 if i == j else 0)
-    Cmat = Mat.from_rows(rows, cols=nb * nc)
-    sol = solve_congruence(Cmat, moduli, Mat.column(rhs), B.ring)
-    if sol is None:
-        return None
-    return Morphism(C, B, _unflatten(sol, nb, nc))
+    sys = MorphismSystem({0: (C, B)})
+    sys.add_relations(0)
+    sys.add_commutation(0)
+    sys.add_equation([(0, s.p.matrix, None)], C, C, Mat.identity(C.gens))
+    sol = sys.solve(B.ring)
+    return None if sol is None else Morphism(C, B, sol[0])
 
 
 @lru_cache(maxsize=None)

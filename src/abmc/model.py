@@ -19,6 +19,7 @@ from .linalg import Mat, QuotientGroup, quotient_group
 from .modules import (
     Module,
     Morphism,
+    MorphismSystem,
     SES,
     _complex_exact_three,
     direct_sum,
@@ -37,14 +38,7 @@ from .modules import (
     trivial_module,
     zero_morphism,
 )
-from .homology import (
-    free_presentation,
-    hom_group,
-    hom_solution_columns,
-    _flatten,
-    _unflatten,
-    _zero_lattice_columns,
-)
+from .homology import free_presentation, hom_group, hom_solution_columns
 from .cotorsion import (
     ApproxSES,
     ClassDescriptor,
@@ -60,7 +54,6 @@ from .cotorsion import (
     special_precover,
     special_preenvelope,
 )
-from .linalg import solve_congruence
 
 
 class ModelStructureError(ValueError):
@@ -329,58 +322,15 @@ def lift(ms: ModelStructure, problem: LiftProblem) -> Morphism:
     if not (ci.acyclic_cofibration.holds or cp.acyclic_fibration.holds):
         raise ModelStructureError("lift hypotheses: one leg must be acyclic")
     B, X = problem.i.dst, problem.p.src
-    nb, nx = B.gens, X.gens
-    ring = B.ring
-    rows, moduli, rhs = [], [], []
-    # validity: relations of B land in relations of X
-    for j, dj in enumerate(B.orders):
-        if not dj:
-            continue
-        for i_ in range(nx):
-            row = [0] * (nx * nb)
-            row[i_ * nb + j] = dj
-            rows.append(row)
-            moduli.append(X.orders[i_])
-            rhs.append(0)
-    # commute with actions
-    for k in range(B.algebra.rank):
-        Ab = B.actions[k]
-        Ax = X.actions[k]
-        for i_ in range(nx):
-            for j in range(nb):
-                row = [0] * (nx * nb)
-                for t in range(nb):
-                    row[i_ * nb + t] += Ab[t, j]
-                for t in range(nx):
-                    row[t * nb + j] -= Ax[i_, t]
-                rows.append(row)
-                moduli.append(X.orders[i_])
-                rhs.append(0)
-    # h @ i = top (mod X orders)
-    for i_ in range(nx):
-        for j in range(problem.i.src.gens):
-            row = [0] * (nx * nb)
-            for t in range(nb):
-                row[i_ * nb + t] = problem.i.matrix[t, j]
-            rows.append(row)
-            moduli.append(X.orders[i_])
-            rhs.append(problem.top.matrix[i_, j])
-    # p @ h = bottom (mod Y orders)
-    Y = problem.p.dst
-    for i_ in range(Y.gens):
-        for j in range(nb):
-            row = [0] * (nx * nb)
-            for t in range(nx):
-                row[t * nb + j] = problem.p.matrix[i_, t]
-            rows.append(row)
-            moduli.append(Y.orders[i_])
-            rhs.append(problem.bottom.matrix[i_, j])
-    C = Mat.from_rows(rows, cols=nx * nb)
-    sol = solve_congruence(C, moduli, Mat.column(rhs), ring)
+    sys = MorphismSystem({0: (B, X)})
+    sys.add_relations(0)
+    sys.add_commutation(0)
+    sys.add_equation([(0, None, problem.i.matrix)], X, problem.i.src, problem.top.matrix)
+    sys.add_equation([(0, problem.p.matrix, None)], problem.p.dst, B, problem.bottom.matrix)
+    sol = sys.solve(B.ring)
     if sol is None:
         raise NotLiftable("no lift exists; a certified hypothesis was violated")
-    h = Morphism(B, X, _unflatten(sol, nx, nb))
-    return h
+    return Morphism(B, X, sol[0])
 
 
 # ---------------------------------------------------------------------------
@@ -452,14 +402,14 @@ def stable_hom(ms: ModelStructure, m: Module, n: Module) -> StableHom:
     fp = free_presentation(n)
     F = fp.middle
     into = hom_group(m, F)
-    factoring = [_flatten((fp.p @ g).matrix) for g in into.basis]
+    factoring = [(fp.p @ g).matrix.entries for g in into.basis]
     # the full factoring subgroup also includes every composite through F
     through = hom_group(F, n)
     for a in into.basis:
         for b in through.basis:
-            factoring.append(_flatten((b @ a).matrix))
-    zer = _zero_lattice_columns(m, n)
-    sub_cols = Mat.from_columns([list(c.col(0)) for c in factoring], rows=amb)
+            factoring.append((b @ a).matrix.entries)
+    zer = MorphismSystem({0: (m, n)}).zero_columns()
+    sub_cols = Mat.from_columns(factoring, rows=amb)
     sub = sub_cols.hstack(zer) if zer.cols else sub_cols
     q = quotient_group(sols, sub, m.ring)
     return StableHom(m, n, q.invariants, q)

@@ -653,44 +653,163 @@ def is_epic(f: Morphism) -> bool:
     return C.is_zero
 
 
+# ---------------------------------------------------------------------------
+# Linear problems about morphisms
+# ---------------------------------------------------------------------------
+
+
+class MorphismSystem:
+    """A congruence system whose unknowns are morphism matrices.
+
+    blocks[n] = (src, dst) declares an unknown X_n: src -> dst, a dst.gens x
+    src.gens matrix flattened row-major at offsets[n], the blocks laid out in
+    sorted key order.  Rows keep the order of the add_* calls, and each row is
+    taken modulo the order of the target generator it constrains.
+    """
+
+    def __init__(self, blocks: dict[int, tuple[Module, Module]]):
+        self.blocks = blocks
+        self.offsets = {}
+        off = 0
+        for n in sorted(blocks):
+            s, d = blocks[n]
+            self.offsets[n] = off
+            off += d.gens * s.gens
+        self.total = off
+        self.rows: list[list[int]] = []
+        self.moduli: list[int] = []
+        self.rhs: list[int] = []
+
+    def add_relations(self, n: int):
+        """The relations of X_n's source land in its target's relations."""
+        s, d = self.blocks[n]
+        off, m, total = self.offsets[n], s.gens, self.total
+        for j, dj in enumerate(s.orders):
+            if not dj:
+                continue
+            for i in range(d.gens):
+                row = [0] * total
+                row[off + i * m + j] = dj
+                self.rows.append(row)
+            self.moduli.extend(d.orders)
+            self.rhs.extend([0] * d.gens)
+
+    def add_commutation(self, n: int):
+        """X_n A_k - B_k X_n = 0 for every basis element k of the algebra."""
+        s, d = self.blocks[n]
+        off, m, dg, total = self.offsets[n], s.gens, d.gens, self.total
+        for k in range(s.algebra.rank):
+            A, B = s.actions[k].entries, d.actions[k].entries
+            for i, di in enumerate(d.orders):
+                base = off + i * m
+                minus = [(off + t * m, c) for t, c in enumerate(B[i * dg : (i + 1) * dg]) if c]
+                for j in range(m):
+                    row = [0] * total
+                    row[base : base + m] = A[j::m]
+                    for at, c in minus:
+                        row[at + j] -= c
+                    self.rows.append(row)
+                self.moduli.extend([di] * m)
+                self.rhs.extend([0] * m)
+
+    def add_equation(
+        self,
+        terms: Sequence[tuple[int, Optional[Mat], Optional[Mat]]],
+        target: Module,
+        source: Module,
+        rhs: Optional[Mat] = None,
+    ):
+        """sum_k  L_k  X_{n_k}  R_k  =  rhs  (mod target orders).
+
+        Each term is (block key, left matrix or None, right matrix or None);
+        None means identity.  Shapes: L: target x d_n, R: s_n x source.  An
+        empty term list gives all-zero rows: solvable iff rhs is zero.
+        """
+        tg, sg, total = target.gens, source.gens, self.total
+        prepared = []
+        for n, L, R in terms:
+            off, m = self.offsets[n], self.blocks[n][0].gens
+            if L is None:
+                lrows = [((off + i * m, 1),) for i in range(tg)]
+            else:
+                w, e = L.cols, L.entries
+                lrows = [
+                    [(off + a * m, c) for a, c in enumerate(e[i * w : i * w + w]) if c]
+                    for i in range(tg)
+                ]
+            # an identity right side puts column j of X_n at column j only
+            rcols = None if R is None else [
+                [(b, c) for b, c in enumerate(R.col(j)) if c] for j in range(sg)
+            ]
+            prepared.append((lrows, rcols))
+        for i, di in enumerate(target.orders):
+            for j in range(sg):
+                row = [0] * total
+                for lrows, rcols in prepared:
+                    if rcols is None:
+                        for base, la in lrows[i]:
+                            row[base + j] += la
+                    else:
+                        for base, la in lrows[i]:
+                            for b, rb in rcols[j]:
+                                row[base + b] += la * rb
+                self.rows.append(row)
+            self.moduli.extend([di] * sg)
+        self.rhs.extend(rhs.entries if rhs is not None else [0] * (tg * sg))
+
+    def solve(self, ring: BaseRing) -> Optional[dict[int, Mat]]:
+        C = Mat.from_rows(self.rows, cols=self.total)
+        sol = solve_congruence(C, self.moduli, Mat.column(self.rhs), ring)
+        return None if sol is None else self.split(sol)
+
+    def kernel_columns(self, ring: BaseRing) -> Mat:
+        C = Mat.from_rows(self.rows, cols=self.total)
+        return congruence_kernel(C, self.moduli, ring)
+
+    def zero_columns(self) -> Mat:
+        """Columns generating the flattened zero morphisms: entry (i, j) of X_n
+        may be any multiple of the order of X_n's i-th target generator."""
+        cols = []
+        for n in sorted(self.blocks):
+            s, d = self.blocks[n]
+            off, m = self.offsets[n], s.gens
+            for i, di in enumerate(d.orders):
+                if not di:
+                    continue
+                for j in range(m):
+                    col = [0] * self.total
+                    col[off + i * m + j] = di
+                    cols.append(col)
+        return Mat.from_columns(cols, rows=self.total)
+
+    def split(self, vec: Mat) -> dict[int, Mat]:
+        out = {}
+        for n in sorted(self.blocks):
+            s, d = self.blocks[n]
+            off = self.offsets[n]
+            out[n] = Mat(d.gens, s.gens, tuple(vec.entries[off : off + d.gens * s.gens]))
+        return out
+
+    def flatten(self, mats: dict[int, Mat]) -> Mat:
+        """The flattened vector of the given blocks; missing blocks are zero."""
+        ent = []
+        for n in sorted(self.blocks):
+            s, d = self.blocks[n]
+            m = mats.get(n)
+            ent.extend(m.entries if m is not None else (0,) * (d.gens * s.gens))
+        return Mat.column(ent)
+
+
 def factor_through_mono(k: Morphism, h: Morphism) -> Optional[Morphism]:
     """x with k @ x = h, when it exists.  For monic k the factorization of any
     h that lands in the image is unique as a morphism."""
     if k.dst != h.dst:
         raise ModuleError("targets must agree")
-    ring = k.ring
-    K, T = k.src, h.src
-    B = k.dst
-    nk, nt = K.gens, T.gens
-    # unknown X is nk x nt, flattened row-major
-    rows = []
-    moduli = []
-    rhs = []
-    # k-validity of X columns: d_j^T * X[i, j] = 0 mod d_i^K
-    for j, dj in enumerate(T.orders):
-        if not dj:
-            continue
-        for i, di in enumerate(K.orders):
-            row = [0] * (nk * nt)
-            row[i * nt + j] = dj
-            rows.append(row)
-            moduli.append(di)
-            rhs.append(0)
-    # k X = h mod B orders
-    for i in range(B.gens):
-        for j in range(nt):
-            row = [0] * (nk * nt)
-            for t in range(nk):
-                row[t * nt + j] = k.matrix[i, t]
-            rows.append(row)
-            moduli.append(B.orders[i])
-            rhs.append(h.matrix[i, j])
-    C = Mat.from_rows(rows, cols=nk * nt)
-    sol = solve_congruence(C, moduli, Mat.column(rhs), ring)
-    if sol is None:
-        return None
-    X = Mat(nk, nt, sol.entries)
-    return Morphism(T, K, X)
+    sys = MorphismSystem({0: (h.src, k.src)})
+    sys.add_relations(0)
+    sys.add_equation([(0, k.matrix, None)], k.dst, h.src, h.matrix)
+    sol = sys.solve(k.ring)
+    return None if sol is None else Morphism(h.src, k.src, sol[0])
 
 
 def descend_by_section(q: Morphism, sect: Mat, h: Morphism) -> Optional[Morphism]:

@@ -79,7 +79,6 @@ from abmc.chains import (
     suspension,
     tilde_member,
     _degreewise_split,
-    _BlockSystem,
 )
 from abmc.presets import (
     algebra_f2c2,

@@ -8,7 +8,7 @@ import pytest
 import abmc
 from abmc import cli
 from abmc.modules import trivial_module
-from abmc.presets import algebra_zc2
+from abmc.presets import algebra_f2c2, algebra_zc2
 from abmc.serialize import algebra_to_json, module_to_json
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(abmc.__file__)))
@@ -145,6 +145,34 @@ def test_catalog_bounds_accepted(tmp_path, capsys):
     code = cli.main(["catalog", _write_spec(tmp_path, spec), "--json"])
     assert code == 0
     assert json.loads(capsys.readouterr().out)["bounds"] == 1
+
+
+def _non_commuting_lift_argv(tmp_path):
+    k = module_to_json(trivial_module(algebra_f2c2()))
+
+    def mor(entry):
+        return {"format": 1, "kind": "morphism", "src": k, "dst": k, "matrix": [entry]}
+
+    arguments = {"i": mor(1), "p": mor(1), "top": mor(1), "bottom": mor(0)}
+    return _preset_arguments_argv(tmp_path, "lift", "qf-f2c2", arguments)
+
+
+def test_non_commuting_lift_square_rejected(tmp_path, capsys):
+    code = cli.main(_non_commuting_lift_argv(tmp_path))
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.strip() == "computation rejected the input: lifting square does not commute"
+
+
+def test_non_commuting_lift_square_subprocess_has_no_traceback(tmp_path):
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run(
+        [sys.executable, "-m", "abmc.cli", *_non_commuting_lift_argv(tmp_path)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 2
+    assert "lifting square does not commute" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 PRESET_HASHES = {

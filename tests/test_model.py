@@ -5,6 +5,7 @@ import pytest
 from abmc.linalg import Mat
 from abmc.modules import (
     Morphism,
+    cyclic_z_module,
     direct_sum,
     free_module,
     identity,
@@ -215,6 +216,23 @@ def test_lift_totality_seeded(qf):
         h = lift(qf, problem)
         assert morphism_equal(h @ ac.first, cf.first)
         assert morphism_equal(cf.second @ h, ac.second)
+
+
+def test_lift_gorenstein_torsion(gor):
+    # i: Z/2 -> B = Z/2 + Z[C2] has projective cokernel (an acyclic
+    # cofibration); p: X = B + Z/4 -> B is epi (a fibration).  B and X both
+    # have torsion, so the lifting system has relation rows, which it never
+    # has over F2[C2].
+    alg = algebra_zc2()
+    a = cyclic_z_module(alg, 2)
+    bb = direct_sum(a, free_module(alg, 1))
+    xb = direct_sum(bb.module, cyclic_z_module(alg, 4))
+    assert any(bb.module.orders) and any(xb.module.orders)
+    i, p = bb.i1, xb.p1
+    top, bottom = xb.i1 @ i, identity(bb.module)
+    h = lift(gor, LiftProblem(i, p, top, bottom))
+    assert morphism_equal(h @ i, top)
+    assert morphism_equal(p @ h, bottom)
 
 
 # -- weak equivalences ------------------------------------------------------------

@@ -27,6 +27,7 @@ from abmc.modules import (
     module_from_presentation,
     morphism_equal,
     Morphism,
+    MorphismSystem,
     Module,
     pullback,
     pushout,
@@ -373,6 +374,81 @@ def test_kernel_universality(f2c2):
     lift = factor_through_mono(incl, h)
     assert lift is not None
     assert morphism_equal(incl @ lift, h)
+
+
+def test_factor_through_mono_with_torsion(zz_alg):
+    # k: Z/4 -> Z/2 + Z/8, 1 -> (1, 2), out of a source Z/2 + Z/4
+    K = z_cyclic(zz_alg, 4)
+    B = Module(zz_alg, (2, 8), (Mat.identity(2),))
+    T = Module(zz_alg, (2, 4), (Mat.identity(2),))
+    k = Morphism(K, B, Mat.from_rows([[1], [2]]))
+    assert is_monic(k)
+    h = Morphism(T, B, Mat.from_rows([[0, 1], [4, 6]]))  # t1 -> k(2), t2 -> k(3)
+    x = factor_through_mono(k, h)
+    assert x is not None and morphism_equal(k @ x, h)
+    # brute force over every 1 x 2 matrix mod 4: exactly one morphism factors h
+    found = []
+    for e in ((u, v) for u in range(4) for v in range(4)):
+        try:
+            y = Morphism(T, K, Mat.from_rows([list(e)]))
+        except ModuleError:
+            continue
+        if (k @ y).matrix == h.matrix:
+            found.append(y)
+    assert found == [x]
+    # (1, 0) has order 2 but lies outside the image {0, (1, 2), (0, 4), (1, 6)}
+    outside = Morphism(T, B, Mat.from_rows([[1, 0], [0, 0]]))
+    assert factor_through_mono(k, outside) is None
+    # for a non-monic k the relation rows decide: x = 1 solves Z -> Z/2 on
+    # matrices, but the only morphism Z/2 -> Z is zero
+    m2 = z_cyclic(zz_alg, 2)
+    onto = Morphism(z_free(zz_alg), m2, Mat.identity(1))
+    assert factor_through_mono(onto, identity(m2)) is None
+
+
+def _zero_lattice_reference(src, dst):
+    """Zero-morphism matrices of one block, flattened row-major."""
+    n, m = dst.gens, src.gens
+    cols = []
+    for i, d in enumerate(dst.orders):
+        if not d:
+            continue
+        for j in range(m):
+            col = [0] * (n * m)
+            col[i * m + j] = d
+            cols.append(col)
+    return Mat.from_columns(cols, rows=n * m)
+
+
+@pytest.mark.parametrize("a,b", [(0, 1), (7, -3)])
+def test_morphism_system_two_blocks(zz_alg, a, b):
+    T = Module(zz_alg, (2, 4), (Mat.identity(2),))
+    K = z_cyclic(zz_alg, 4)
+    B = Module(zz_alg, (2, 8), (Mat.identity(2),))
+    sys = MorphismSystem({a: (T, K), b: (K, B)})
+    assert sys.total == 2 + 2
+    g = Morphism(T, K, Mat.from_rows([[2, 3]]))
+    k = Morphism(K, B, Mat.from_rows([[1], [2]]))
+    mats = {a: g.matrix, b: k.matrix}
+    assert sys.split(sys.flatten(mats)) == mats
+    # zero columns: each block's own zero lattice, placed at its offset
+    want = []
+    for n in sorted(sys.blocks):
+        z = _zero_lattice_reference(*sys.blocks[n])
+        off = sys.offsets[n]
+        for j in range(z.cols):
+            want.append([0] * off + list(z.col(j)) + [0] * (sys.total - off - z.rows))
+    assert sys.zero_columns() == Mat.from_columns(want, rows=sys.total)
+    # k X_a + X_b g = 3 (k g), both unknowns morphisms
+    for n in (a, b):
+        sys.add_relations(n)
+        sys.add_commutation(n)
+    h = (k @ g).scale(3)
+    sys.add_equation([(a, k.matrix, None), (b, None, g.matrix)], B, T, h.matrix)
+    sol = sys.solve(ZZ)
+    assert sol is not None
+    xa, xb = Morphism(T, K, sol[a]), Morphism(K, B, sol[b])
+    assert (k @ xa + xb @ g).matrix == h.matrix
 
 
 # -- SES validation ----------------------------------------------------------
