@@ -2,6 +2,9 @@
 modules, with chain-complex promotion and brute-force verification at desk
 scale."""
 
+import sys
+
+from . import homology
 from .linalg import BaseRing, Mat, ZZ, smith_normal_form, solve_linear
 from .modules import (
     Algebra,
@@ -86,3 +89,15 @@ from .chains import (
 )
 
 __version__ = "0.1.0"
+
+
+def clear_caches() -> None:
+    """Empty every module-level cache of abmc: the lru_caches of its imported
+    submodules and the table of free resolutions."""
+    for name, mod in list(sys.modules.items()):
+        if mod is None or name.split(".")[0] != __name__:
+            continue
+        for obj in vars(mod).values():
+            if hasattr(obj, "cache_clear") and hasattr(obj, "cache_info"):
+                obj.cache_clear()
+    homology._RESOLUTIONS.clear()

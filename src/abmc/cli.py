@@ -5,7 +5,8 @@
 Problem specs are JSON (schema-validated, unknown fields rejected with
 JSON-pointer paths); reports are deterministic given spec + seed, with the
 timing field excluded from the report hash.  Exit codes: 0 all-pass, 1 a
-certified failure, 2 spec or usage error.  ABMC_MAX_DIM caps catalog sizes;
+certified failure, 2 spec or usage error, 3 an unexpected internal error
+(reported as one line on stderr).  ABMC_MAX_DIM caps catalog sizes;
 `ext` degrees must be integers in [1, MAX_EXT_DEGREE] (64), the seed an
 integer >= 0 and the bounds an integer >= 1.
 """
@@ -465,6 +466,10 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (ModuleError, LinalgError, CotorsionError, ModelStructureError) as e:
         print(f"computation rejected the input: {e}", file=sys.stderr)
         return 2
+    except Exception as e:  # anything else is a fault of abmc, not of the input
+        detail = " ".join(str(e).splitlines())
+        print(f"internal error: {type(e).__name__}: {detail}", file=sys.stderr)
+        return 3
     report.timing_ms = int((time.monotonic() - started) * 1000)
     text = report.to_text() if ns.as_text or not ns.as_json else report.to_json()
     print(text)

@@ -1,11 +1,14 @@
 """Cotorsion-pair machinery: classes, orthogonality, approximations, Gorenstein.
 
-Membership in orthogonally-defined classes is certified-negative and
-relative-positive: a No always carries a witness with nonzero Ext^1, a Yes
-against a non-exhaustive witness family is flagged relative and stamped with
-the family spec.  Approximation providers are named constructive strategies;
-every sequence they produce is verified against the pair's classes at
-runtime, and failures surface as certificates, never silently.
+Membership in orthogonally-defined classes is certified-negative and, where
+no exact test is known, relative-positive: a No always carries a witness
+with nonzero Ext, a Yes against a non-exhaustive witness family is flagged
+relative and stamped with the family spec.  Gorenstein projectivity over an
+algebra of known two-sided self-injective dimension d0 is decided exactly,
+by Ext^i(M, A) = 0 for 1 <= i <= d0.  Approximation providers are named
+constructive strategies; every sequence they produce is verified against the
+pair's classes at runtime, and failures surface as certificates, never
+silently.
 """
 
 from __future__ import annotations
@@ -235,7 +238,9 @@ def gp_test(m: Module, d: int, family: Optional[FamilySpec] = None) -> Verdict:
 
     Projectives pass outright; otherwise a nonzero Ext^1 against any family
     member is a certified No, and a clean sweep is a Yes relative to the
-    family spec.
+    family spec.  `class_member` decides by `gp_by_ext_vs_regular` instead
+    whenever the algebra's self-injective dimension is known, and falls back
+    to this sweep otherwise.
     """
     spec = family or FamilySpec()
     if is_projective(m):
@@ -254,6 +259,31 @@ def gp_test(m: Module, d: int, family: Optional[FamilySpec] = None) -> Verdict:
     return Verdict("yes_relative", None, spec)
 
 
+def gp_by_ext_vs_regular(m: Module, d0: int, family: Optional[FamilySpec] = None) -> Verdict:
+    """Exact Gorenstein-projectivity over an Iwanaga-Gorenstein algebra.
+
+    With self-injective dimension d0 on both sides, a finitely generated M is
+    Gorenstein projective iff Ext^i(M, A) = 0 for 1 <= i <= d0 (Enochs-Jenda,
+    Relative Homological Algebra, ch. 10-11).  A No at degree 1 is the one
+    `gp_test` gives, since the regular module heads its witness family.
+    """
+    reg = free_module(m.algebra, 1)
+    for i in range(1, d0 + 1):
+        e = ext(m, reg, i)
+        if e.is_zero:
+            continue
+        if i == 1:
+            return Verdict(
+                "no",
+                {"witness": _module_tag(reg), "ext1": list(e.invariants)},
+                family or FamilySpec(),
+            )
+        return Verdict(
+            "no", {"witness": _module_tag(reg), "degree": i, "ext": list(e.invariants)}
+        )
+    return Verdict("yes", {"route": "ext_vs_regular", "degrees": [1, d0]})
+
+
 def gp_example(n: Module, d: int) -> Module:
     """d-th syzygies are the canonical Gorenstein-projective examples."""
     return syzygy(n, d)
@@ -265,6 +295,12 @@ def gp_example(n: Module, d: int) -> Module:
 
 
 def class_member(c: ClassDescriptor, m: Module) -> Verdict:
+    """Membership verdict of m in c.
+
+    Gorenstein projectivity is decided by Ext against the regular module when
+    `self_injective_dimension` knows the algebra, and by the witness sweep of
+    `gp_test` (Yes relative to its family) when it does not.
+    """
     if c.algebra != m.algebra:
         raise CotorsionError("module lives over a different algebra")
     if c.kind == "all":
@@ -294,7 +330,10 @@ def class_member(c: ClassDescriptor, m: Module) -> Verdict:
                 return Verdict("no", {"witness": _module_tag(g), "ext1": list(e.invariants)})
         return YES
     if c.kind == "gorenstein_projective":
-        return gp_test(m, c.d, c.family)
+        d0 = self_injective_dimension(c.algebra)
+        if d0 is None:
+            return gp_test(m, c.d, c.family)
+        return gp_by_ext_vs_regular(m, d0, c.family)
     raise CotorsionError(f"unknown class kind {c.kind}")
 
 
@@ -808,15 +847,29 @@ def ring_injective_dimension(alg: Algebra, d_max: int = 4) -> Optional[int]:
             if is_projective(syzygy(reg_dual, d)):
                 return d
         return None
-    if alg.rank == 1:
-        d = INTEGER_BASE_SELF_INJ_DIM["base"]
-    elif alg.group_table is not None:
-        d = INTEGER_BASE_SELF_INJ_DIM["group_algebra"]
-    else:
+    key = "base" if alg.rank == 1 else "group_algebra" if alg.group_table is not None else None
+    d = INTEGER_BASE_SELF_INJ_DIM.get(key)
+    if d is None:
         raise CotorsionError(
             "no table entry for this integer-base algebra; duality route needs a field"
         )
     return d if d <= d_max else None
+
+
+@lru_cache(maxsize=None)
+def self_injective_dimension(alg: Algebra) -> Optional[int]:
+    """The injective dimension d0 of A on both sides, or None when unknown.
+
+    Over a field both sides are computed and must agree; over the integers
+    the table answers (group algebras are isomorphic to their opposites).
+    """
+    try:
+        d = ring_injective_dimension(alg)
+        if alg.base.is_field and ring_injective_dimension(alg.opposite) != d:
+            return None
+    except CotorsionError:
+        return None
+    return d
 
 
 def iwanaga_consistency(alg: Algebra, modules: Sequence[Module], d: int, probe: int = 3) -> list[dict]:

@@ -141,7 +141,9 @@ def gorenstein_model_structure(seed: int = 0) -> ModelStructure:
 
     The pair (C n W, F) is declared as (projectives, everything): Gorenstein
     projectives of finite projective dimension are projective, a coincidence
-    the validation sweeps exercise rather than assume.
+    the validation sweeps exercise rather than assume.  Membership in C is
+    decided exactly, by Ext^1(M, Z[C2]) = 0 (Z[C2] has self-injective
+    dimension 1), not by the witness sweep of `gp_test`.
     """
     alg = algebra_zc2()
     catalog = zc2_catalog()

@@ -56,6 +56,20 @@ def test_ext_degree_subprocess_has_no_traceback(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("message", ["boom", "first line\nsecond line"])
+def test_internal_error_exits_3_with_one_line(monkeypatch, capsys, message):
+    def broken(spec, report):
+        raise RuntimeError(message)
+
+    monkeypatch.setattr(cli, "run_command", broken)
+    assert cli.main(["hom"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err == f"internal error: RuntimeError: {' '.join(message.splitlines())}\n"
+    assert "Traceback" not in captured.err
+
+
 def _write_spec(tmp_path, spec):
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(spec))

@@ -15,7 +15,7 @@ from abmc.modules import (
     upper_triangular_algebra,
     zero_module,
 )
-from abmc.homology import free_presentation, is_projective, ext
+from abmc.homology import free_presentation, is_injective, is_projective, ext, syzygy
 from abmc.catalog import CatalogBounds, catalog_modules, Sampler
 from abmc.cotorsion import (
     ApproxSES,
@@ -31,6 +31,7 @@ from abmc.cotorsion import (
     gorenstein_projective,
     gp_example,
     gp_test,
+    INTEGER_BASE_SELF_INJ_DIM,
     injectives,
     is_hereditary,
     is_thick,
@@ -40,6 +41,7 @@ from abmc.cotorsion import (
     projectives,
     right_orth_of,
     ring_injective_dimension,
+    self_injective_dimension,
     special_precover,
     special_preenvelope,
     zero_class,
@@ -224,6 +226,14 @@ def test_gorenstein_precover_z2_triv(zc2):
     assert a.memberships["left_term_in_right"]["status"] == "yes"
 
 
+def test_gorenstein_precover_middle_is_decided_gp(zc2):
+    a = special_precover(gorenstein_pair(zc2), cyclic_z_module(zc2, 2))
+    assert a.memberships["middle_in_left"] == {
+        "status": "yes",
+        "certificate": {"route": "ext_vs_regular", "degrees": [1, 1]},
+    }
+
+
 def test_gorenstein_precover_of_projective_is_identity(zc2):
     pair = gorenstein_pair(zc2)
     a = special_precover(pair, free_module(zc2, 1))
@@ -362,3 +372,72 @@ def test_sign_module_is_gp_not_projective(zc2):
     s = sign_module(zc2)
     assert gp_test(s, 1).holds
     assert not is_projective(s)
+
+
+# -- exact Gorenstein projectivity against the witness sweep ----------------------
+
+
+def _gp_agreement(alg, d, mods):
+    """Statuses of class_member on mods; asserts agreement with gp_test."""
+    statuses = []
+    for m in mods:
+        decided = class_member(gorenstein_projective(alg, d), m)
+        swept = gp_test(m, d)
+        assert decided.holds == swept.holds, m
+        if decided.holds:
+            assert decided.status == "yes"
+            assert decided.certificate == {"route": "ext_vs_regular", "degrees": [1, d]}
+        else:
+            assert decided.describe() == swept.describe()
+        statuses.append(decided.status)
+    return statuses
+
+
+def test_gp_decided_agrees_with_sweep_zc2_syzygies(zc2):
+    from abmc.presets import zc2_catalog
+
+    mods = [
+        syzygy(m, i) for m in zc2_catalog() for i in range(3) if not syzygy(m, i).is_zero
+    ]
+    statuses = _gp_agreement(zc2, 1, mods)
+    assert len(mods) == 27
+    assert statuses.count("yes") == 22 and statuses.count("no") == 5
+
+
+def test_gp_decided_agrees_with_sweep_qf(f2c2, f2_catalog):
+    assert self_injective_dimension(f2c2) == 0
+    statuses = _gp_agreement(f2c2, 0, [m for m in f2_catalog if not m.is_zero])
+    assert set(statuses) == {"yes"}
+
+
+def test_gp_decided_agrees_with_sweep_triangular():
+    tri = upper_triangular_algebra(F2)
+    one, nil = Mat.identity(1), Mat.zeros(1, 1)
+    s1 = Module(tri, (0,), (one, nil, nil))  # simple projective A e11
+    s2 = Module(tri, (0,), (nil, one, nil))  # simple injective
+    # A e22 on the basis (e22, e12): projective and injective
+    p2 = Module(
+        tri,
+        (0, 0),
+        (Mat.from_rows([[0, 0], [0, 1]]), Mat.from_rows([[1, 0], [0, 0]]), Mat.from_rows([[0, 0], [1, 0]])),
+    )
+    mods = [s1, s2, p2, free_module(tri, 1)]
+    assert [is_projective(m) for m in mods] == [True, False, True, True]
+    assert [is_injective(m) for m in mods] == [False, True, True, False]
+    assert self_injective_dimension(tri) == 1
+    assert _gp_agreement(tri, 1, mods) == ["yes", "no", "yes", "yes"]
+
+
+@pytest.fixture
+def no_group_algebra_entry(monkeypatch):
+    monkeypatch.delitem(INTEGER_BASE_SELF_INJ_DIM, "group_algebra")
+    self_injective_dimension.cache_clear()
+    yield
+    self_injective_dimension.cache_clear()
+
+
+def test_gp_falls_back_to_sweep_without_table_entry(zc2, no_group_algebra_entry):
+    assert self_injective_dimension(zc2) is None
+    for m in [trivial_module(zc2), free_module(zc2, 1), cyclic_z_module(zc2, 2), sign_module(zc2)]:
+        assert class_member(gorenstein_projective(zc2, 1), m) == gp_test(m, 1)
+    assert class_member(gorenstein_projective(zc2, 1), trivial_module(zc2)).status == "yes_relative"

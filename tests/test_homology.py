@@ -1,6 +1,9 @@
 import random
+import sys
 
 import pytest
+
+import abmc
 
 from abmc.linalg import BaseRing, Mat, ZZ
 from abmc.modules import (
@@ -340,3 +343,24 @@ def test_hom_exactness_at_middle(zz_alg):
     # here Hom(Z/2, Z) = 0, so both sides must be zero
     assert not img or all(g.is_zero for g in img)
     assert not ker or all((s.p @ g).is_zero for g in ker)
+
+
+def test_clear_caches_empties_every_module_cache():
+    from abmc import homology, presets
+    from abmc.cotorsion import class_member
+
+    gor = presets.gorenstein_model_structure()
+    class_member(gor.cofibrant, trivial_module(presets.algebra_zc2()))
+    abmc.clear_caches()
+    caches = {
+        id(obj): obj
+        for name, mod in list(sys.modules.items())
+        if mod is not None and name.split(".")[0] == "abmc"
+        for obj in vars(mod).values()
+        if hasattr(obj, "cache_clear") and hasattr(obj, "cache_info")
+    }
+    names = {c.__qualname__ for c in caches.values()}
+    assert {"ext", "gp_test", "self_injective_dimension", "gorenstein_model_structure"} <= names
+    assert [c.__qualname__ for c in caches.values() if c.cache_info().currsize] == []
+    assert len(homology._RESOLUTIONS) == 0
+    assert not hasattr(abmc.clear_caches, "cache_clear")

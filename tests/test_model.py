@@ -96,6 +96,15 @@ def assert_factorization(ms, f, mode):
     return fac
 
 
+def test_classify_cofibration_with_gp_cokernel_is_decided(gor):
+    # 0 -> Z -> Z[C2] -> sign -> 0, x -> 1 + g; the sign module is GP, not projective
+    alg = algebra_zc2()
+    f = Morphism(trivial_module(alg), free_module(alg, 1), Mat.from_columns([[1, 1]]))
+    c = classify_map(gor, f)
+    assert c.cofibration.status == "yes"
+    assert c.cofibration.family is None
+
+
 def test_factorize_k_to_zero_epi_case(qf):
     alg = algebra_f2c2()
     k = trivial_module(alg)
