@@ -98,6 +98,13 @@ MAX_EXT_DEGREE = 64
 
 SPEC_FIELDS = {"format", "command", "preset", "algebra", "arguments", "seed", "bounds"}
 
+# the keys of /arguments each command reads; any other key is rejected
+ARGUMENT_KEYS = {
+    "ext": {"degree", "m", "n"}, "hom": {"m", "n"}, "stable-hom": {"m", "n"},
+    "factorize": {"mode", "f"}, "classify": {"f"}, "weq": {"f"}, "lift": {"i", "p", "top", "bottom"},
+    "gorenstein": {"examples"}, "gillespie-verify": {"max_dim", "max_length"},
+}
+
 
 class UsageError(ValueError):
     pass
@@ -146,7 +153,6 @@ def preset_bundle(name: str) -> dict:
             "preset": name,
             "command": "check-pair",
             "algebra": algebra_to_json(algebra_f2c2()),
-            "arguments": {"catalog_max_dim": 4},
             "seed": 0,
             "bounds": 4,
         }
@@ -156,7 +162,6 @@ def preset_bundle(name: str) -> dict:
             "preset": name,
             "command": "gorenstein",
             "algebra": algebra_to_json(algebra_zc2()),
-            "arguments": {"d": 1},
             "seed": 0,
             "bounds": 4,
         }
@@ -176,7 +181,6 @@ def preset_bundle(name: str) -> dict:
             "preset": name,
             "command": "check-pair",
             "algebra": algebra_to_json(algebra_z()),
-            "arguments": {"purity_bound": 64},
             "seed": 0,
             "bounds": 4,
         }
@@ -192,16 +196,19 @@ def _model_structure(spec: dict):
     )
 
 
-def _args(spec: dict) -> dict:
+def _args(spec: dict, cmd: str) -> dict:
     args = spec.get("arguments", {}) or {}
     if not isinstance(args, dict):
         raise SchemaError("/arguments", "expected an object")
+    for k in args:
+        if k not in ARGUMENT_KEYS.get(cmd, ()):
+            raise SchemaError(f"/arguments/{k}", f"unknown argument for {cmd}")
     return args
 
 
 def run_command(spec: dict, report: Report):
     cmd = spec["command"]
-    args = _args(spec)
+    args = _args(spec, cmd)
     seed = report.seed
 
     if cmd == "ext":

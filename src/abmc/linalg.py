@@ -5,8 +5,8 @@ the primitives in this file: Smith normal form with transform matrices,
 exact linear solves, kernel lattices, and quotients of lattices by
 sublattices.  Integer arithmetic uses Python's arbitrary-precision ints
 (SNF intermediates blow up; desk-scale matrices stay small enough that this
-is fine).  Prime-field arithmetic goes through numpy int64, which is safe
-for p < 2**16.
+is fine).  Prime-field elimination works on Python rows too: packed into
+one int per row and reduced by XOR over F_2, lists of residues otherwise.
 
 All functions are pure; `Mat` is immutable.
 """
@@ -17,9 +17,7 @@ from dataclasses import dataclass
 from itertools import chain
 from typing import Optional, Sequence
 
-import numpy as np
-
-MAX_PRIME = 1 << 16
+MAX_PRIME = 1 << 16  # a bound on accepted inputs: the Python ints of F_p elimination cannot overflow
 
 
 class LinalgError(ValueError):
@@ -136,15 +134,9 @@ class Mat:
     def to_lists(self) -> list[list[int]]:
         return [list(self.row(i)) for i in range(self.rows)]
 
-    def to_numpy(self) -> np.ndarray:
-        return np.array(self.entries, dtype=np.int64).reshape(self.rows, self.cols)
-
-    @staticmethod
-    def from_numpy(a: np.ndarray) -> "Mat":
-        return Mat(a.shape[0], a.shape[1], tuple(int(x) for x in a.reshape(-1)))
-
     def transpose(self) -> "Mat":
-        return Mat(self.cols, self.rows, tuple(self[i, j] for j in range(self.cols) for i in range(self.rows)))
+        e, n = self.entries, self.cols
+        return Mat(n, self.rows, tuple(chain.from_iterable(e[j::n] for j in range(n))))
 
     def __add__(self, other: "Mat") -> "Mat":
         if (self.rows, self.cols) != (other.rows, other.cols):
@@ -400,63 +392,80 @@ def snf_diagonal(D: Mat) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# Prime-field elimination (numpy)
+# Prime-field elimination
 # ---------------------------------------------------------------------------
 
 
-def _np_rref(a: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
-    a = a.copy() % p
-    rows, cols = a.shape
-    pivots: list[int] = []
-    r = 0
-    for c in range(cols):
-        if r >= rows:
-            break
-        nz = np.nonzero(a[r:, c])[0]
-        if nz.size == 0:
+def _fp_rref(A: Mat, p: int) -> tuple[list[list[int]], list[int]]:
+    """Reduced row echelon form of A over F_p: (nonzero rows, pivot columns).
+
+    Rows come in pivot order, with entries in [0, p).  Each row of A is
+    reduced by the pivot rows kept so far; if nonzero, its first nonzero
+    column becomes a pivot, cleared from just the kept rows nonzero there.
+    Over F_2 a row is one int, a byte per column, and a step is an XOR.  The
+    RREF is unique, so this order changes only the cost."""
+    n = A.cols
+    if not n:
+        return [], []
+    e = A.entries
+    spans = range(0, len(e), n)
+    done: list = []  # (pivot, row): over F_2 the pivot column's bit, else the column
+    if p == 2:
+        packed = bytes(map((1).__and__, e))
+        for i in spans:
+            r = int.from_bytes(packed[i : i + n], "little")
+            for bit, b in done:
+                if r & bit:
+                    r ^= b
+            if r:
+                bit = r & -r
+                done = [(c, b ^ r if b & bit else b) for c, b in done]
+                done.append((bit, r))
+        done.sort()
+        return [list(r.to_bytes(n, "little")) for _, r in done], [bit.bit_length() >> 3 for bit, _ in done]
+    e = list(map(p.__rmod__, e))
+    for i in spans:
+        r = e[i : i + n]
+        for c, b in done:
+            f = r[c]
+            if f:
+                r = [(x - f * y) % p for x, y in zip(r, b)]
+        c = next((j for j, x in enumerate(r) if x), None)
+        if c is None:
             continue
-        i = r + int(nz[0])
-        if i != r:
-            a[[r, i]] = a[[i, r]]
-        inv = pow(int(a[r, c]), p - 2, p)
-        a[r] = (a[r] * inv) % p
-        col = a[:, c].copy()
-        col[r] = 0
-        a = (a - np.outer(col, a[r])) % p
-        pivots.append(c)
-        r += 1
-    return a, pivots
+        inv = pow(r[c], -1, p)
+        r = [x * inv % p for x in r]
+        done = [(d, [(x - b[c] * y) % p for x, y in zip(b, r)] if b[c] else b) for d, b in done]
+        done.append((c, r))
+    done.sort()
+    return [r for _, r in done], [c for c, _ in done]
 
 
 def _field_solve(A: Mat, B: Mat, p: int) -> Optional[Mat]:
-    """Solve A X = B over F_p; None when inconsistent."""
-    a = A.to_numpy() % p
-    b = B.to_numpy() % p
-    aug = np.hstack([a, b])
-    r, pivots = _np_rref(aug, p)
+    """Solve A X = B over F_p, free variables 0; None when inconsistent."""
     n = A.cols
-    for c in pivots:
-        if c >= n:
-            return None
-    x = np.zeros((n, B.cols), dtype=np.int64)
-    for i, c in enumerate(pivots):
-        x[c] = r[i, n:]
-    return Mat.from_numpy(x % p)
+    rows, pivots = _fp_rref(A.hstack(B), p)
+    if pivots and pivots[-1] >= n:
+        return None
+    x = dict(zip(pivots, (r[n:] for r in rows)))
+    zero = [0] * B.cols
+    return Mat(n, B.cols, tuple(chain.from_iterable(x.get(j, zero) for j in range(n))))
+
+
+def _null_rows(rows: list[list[int]], pivots: list[int], n: int, p: int) -> tuple[list[int], list[list[int]]]:
+    """Free columns of an n-column RREF over F_p, and the n rows of its null-space
+    basis, whose column k is 1 at the k-th free column and 0 at the other free ones."""
+    free = [j for j in range(n) if j not in pivots]
+    out = {f: [int(f == g) for g in free] for f in free}
+    for r, c in zip(rows, pivots):
+        out[c] = [-r[f] % p for f in free]
+    return free, [out[j] for j in range(n)]
 
 
 def _field_kernel(A: Mat, p: int) -> Mat:
     """Columns form a basis of the null space of A over F_p."""
-    r, pivots = _np_rref(A.to_numpy(), p)
-    n = A.cols
-    free = [j for j in range(n) if j not in pivots]
-    cols = []
-    for f in free:
-        vec = np.zeros(n, dtype=np.int64)
-        vec[f] = 1
-        for i, c in enumerate(pivots):
-            vec[c] = (-r[i, f]) % p
-        cols.append([int(x) for x in vec])
-    return Mat.from_columns(cols, rows=n)
+    free, basis = _null_rows(*_fp_rref(A, p), A.cols, p)
+    return Mat(A.cols, len(free), tuple(chain.from_iterable(basis)))
 
 
 # ---------------------------------------------------------------------------
@@ -518,10 +527,8 @@ def lattice_basis(gens: Mat, ring: BaseRing) -> Mat:
     if gens.cols == 0:
         return gens
     if ring.is_field:
-        # Select a maximal independent subset via rref on the transpose.
-        r, pivots = _np_rref(gens.to_numpy().T % ring.p, ring.p)
-        basis = Mat.from_numpy(r[: len(pivots)].T % ring.p)
-        return basis
+        # The reduced rows of the transpose span the same space.
+        return Mat.from_columns(_fp_rref(gens.transpose(), ring.p)[0], rows=gens.rows)
     D, Uinv = _snf_full(gens, "Uinv")
     diag = snf_diagonal(D)
     cols = []
@@ -650,20 +657,15 @@ def quotient_group(gens: Mat, sub: Mat, ring: BaseRing) -> QuotientGroup:
         basis = lattice_basis(gens, ring)
         if basis.cols == 0:
             return QuotientGroup(ring, amb, Mat.zeros(amb, 0), (), lattice_basis(sub, ring))
-        coords = _field_solve(basis, sub, ring.p) if sub.cols else Mat.zeros(basis.cols, 0)
+        coords = _field_solve(basis, sub, ring.p)
         if coords is None:
             raise LinalgError("sub does not lie inside span(gens)")
         # Rows of coords^T span the sub in basis coordinates; non-pivot basis
         # coordinates give generators of the quotient.
-        if sub.cols:
-            _, pivots = _np_rref(coords.to_numpy().T % ring.p, ring.p)
-        else:
-            pivots = []
+        pivots = _fp_rref(coords.transpose(), ring.p)[1]
         free = [j for j in range(basis.cols) if j not in pivots]
         generators = Mat.from_columns([list(basis.col(j)) for j in free], rows=amb)
-        invariants = (ring.p,) * len(free)
-        sub_basis = lattice_basis(sub, ring)
-        return QuotientGroup(ring, amb, generators, invariants, sub_basis)
+        return QuotientGroup(ring, amb, generators, (ring.p,) * len(free), lattice_basis(sub, ring))
 
     basis = lattice_basis(gens, ring)
     if basis.cols == 0:

@@ -34,7 +34,8 @@ from .linalg import (
     solve_congruence,
     spans_equal,
     _snf_full,
-    _np_rref,
+    _fp_rref,
+    _null_rows,
 )
 
 
@@ -460,19 +461,9 @@ def module_from_presentation(
             raise ModuleError("action matrices must match generator count")
 
     if ring.is_field:
-        rr, pivots = _np_rref(relation_rows.to_numpy(), ring.p) if relation_rows.rows else (None, [])
-        kept = [j for j in range(g) if j not in pivots]
-        # proj: reduce mod the row space, keep non-pivot coordinates
-        proj_cols = []
-        for j in range(g):
-            vec = [0] * g
-            vec[j] = 1
-            if j in pivots:
-                i = pivots.index(j)
-                for jj in kept:
-                    vec[jj] = (-int(rr[i, jj])) % ring.p
-                vec[j] = 0
-            proj_cols.append([vec[t] for t in kept])
+        # proj reduces mod the row space and keeps the non-pivot coordinates:
+        # its columns are the rows of the relations' null-space basis
+        kept, proj_cols = _null_rows(*_fp_rref(relation_rows, ring.p), g, ring.p)
         proj = Mat.from_columns(proj_cols, rows=len(kept))
         sect = Mat.from_columns([[1 if t == j else 0 for t in range(g)] for j in kept], rows=g)
         orders = (0,) * len(kept)

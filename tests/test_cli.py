@@ -154,6 +154,23 @@ def test_command_arguments_subprocess_have_no_traceback(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+UNREAD_ARGUMENTS = [
+    ("check-pair", "qf-f2c2", "catalog_max_dim", "x"),
+    ("gorenstein", "gorenstein-zc2", "d", "x"),
+    ("check-pair", "purity-z", "purity_bound", 0),
+]
+
+
+@pytest.mark.parametrize("command,preset,name,value", UNREAD_ARGUMENTS)
+def test_unread_arguments_rejected(tmp_path, capsys, command, preset, name, value):
+    code = cli.main(_preset_arguments_argv(tmp_path, command, preset, {name: value}))
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert f"/arguments/{name}" in captured.err
+    assert "Traceback" not in captured.err
+
+
 def test_catalog_bounds_accepted(tmp_path, capsys):
     spec = {"command": "catalog", "algebra": algebra_to_json(algebra_zc2()), "bounds": 1}
     code = cli.main(["catalog", _write_spec(tmp_path, spec), "--json"])

@@ -9,6 +9,9 @@ from abmc.linalg import (
     LinalgError,
     Mat,
     ZZ,
+    _field_kernel,
+    _field_solve,
+    _fp_rref,
     _least,
     _pivot_choice,
     _snf_full,
@@ -372,3 +375,102 @@ def test_quotient_torsion_matches_sympy_invariant_factors(S):
     factors = [abs(int(d)) for d in invariant_factors(S_, domain=sympy.ZZ)]
     assert [d for d in q.invariants if d] == [d for d in factors if d > 1]
     assert q.invariants.count(0) == S.rows - S_.rank()
+
+
+# ---------------------------------------------------------------------------
+# Prime-field elimination
+# ---------------------------------------------------------------------------
+
+PRIMES = (2, 3, 5, 65521)
+
+
+@st.composite
+def fp_matrices(draw, primes=PRIMES):
+    """(A, p): up to 8 x 8, 0 x n and m x 0 included, some rows forced to zero,
+    entries reduced or not (negative, or >= p)."""
+    p = draw(st.sampled_from(primes))
+    m = draw(st.integers(0, 8))
+    n = draw(st.integers(0, 8))
+    entry = st.one_of(st.integers(0, min(p - 1, 6)), st.integers(-2 * p - 3, 2 * p + 3), st.just(0))
+    ent = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=m, max_size=m))
+    zero_rows = draw(st.sets(st.integers(0, max(m - 1, 0)), max_size=2))
+    return Mat.from_rows([[0] * n if i in zero_rows else r for i, r in enumerate(ent)], cols=n), p
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_fp_edge_shapes(p):
+    for m, n in ((0, 4), (3, 0), (0, 0), (2, 3)):
+        assert _fp_rref(Mat.zeros(m, n), p) == ([], [])
+        assert _field_kernel(Mat.zeros(m, n), p) == Mat.identity(n)
+        assert _field_solve(Mat.zeros(m, n), Mat.zeros(m, 2), p) == Mat.zeros(n, 2)
+    assert _field_solve(Mat.zeros(1, 0), Mat.column([1]), p) is None
+    # -1 and 2p + 1 are p - 1 and 1 mod p; the row is scaled by 1 / (p - 1)
+    assert _fp_rref(Mat.from_rows([[-1, p, 2 * p + 1], [0, 0, 0]]), p) == ([[1, 0, p - 1]], [0])
+
+
+def _sympy_fp(m: Mat, p: int):
+    pytest.importorskip("sympy")
+    from sympy import GF
+    from sympy.polys.matrices import DomainMatrix
+
+    return DomainMatrix([[GF(p)(x) for x in m.row(i)] for i in range(m.rows)], (m.rows, m.cols), GF(p))
+
+
+def _fp_rank(m: Mat, p: int) -> int:
+    return _sympy_fp(m, p).rank()
+
+
+def _lin_comb(m: Mat, p: int, rng: random.Random, k: int) -> Mat:
+    # k random combinations of the columns of m
+    return (m @ Mat.from_rows([[rng.randrange(p) for _ in range(k)] for _ in range(m.cols)], cols=k)).reduce(BaseRing(p))
+
+
+@settings(max_examples=300, deadline=None)
+@given(fp_matrices())
+def test_fp_rref_matches_sympy(Ap):
+    A, p = Ap
+    R, pivots = _sympy_fp(A, p).rref()
+    K = R.domain
+    expected = [[K.to_int(x) % p for x in r] for r in R.to_list()[: len(pivots)]]
+    assert _fp_rref(A, p) == (expected, list(pivots))
+
+
+@settings(max_examples=150, deadline=None)
+@given(fp_matrices(primes=(2, 3, 5)), st.integers(0, 3), st.booleans(), st.integers(0, 2**32))
+def test_field_solve_solves_when_solvable(Ap, k, consistent, seed):
+    A, p = Ap
+    rng = random.Random(seed)
+    if consistent:
+        B = _lin_comb(A, p, rng, k)
+    else:
+        B = Mat.from_rows([[rng.randrange(p) for _ in range(k)] for _ in range(A.rows)], cols=k)
+    X = _field_solve(A, B, p)
+    solvable = _fp_rank(A.hstack(B), p) == _fp_rank(A, p)
+    assert (X is not None) == solvable
+    if X is not None:
+        assert (X.rows, X.cols) == (A.cols, k)
+        assert all(0 <= x < p for x in X.entries)
+        assert (A @ X).reduce(BaseRing(p)) == B.reduce(BaseRing(p))
+
+
+@settings(max_examples=150, deadline=None)
+@given(fp_matrices(primes=(2, 3, 5)))
+def test_field_kernel_is_a_basis_of_the_null_space(Ap):
+    A, p = Ap
+    K = _field_kernel(A, p)
+    rank = _fp_rank(A, p)
+    assert (K.rows, K.cols) == (A.cols, A.cols - rank)
+    assert (A @ K).reduce(BaseRing(p)).is_zero()
+    assert _fp_rank(K, p) == K.cols
+
+
+@settings(max_examples=150, deadline=None)
+@given(fp_matrices(primes=(2, 3, 5)), st.integers(0, 4), st.integers(0, 2**32))
+def test_field_quotient_dimension(Ap, k, seed):
+    gens, p = Ap
+    ring = BaseRing(p)
+    sub = _lin_comb(gens, p, random.Random(seed), k)
+    q = quotient_group(gens, sub, ring)
+    assert len(q.invariants) == _fp_rank(gens, p) - _fp_rank(sub, p)
+    assert q.invariants == (p,) * len(q.invariants)
+    assert _fp_rank(q.generators.hstack(sub), p) == _fp_rank(gens, p)
